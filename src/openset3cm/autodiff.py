@@ -12,11 +12,20 @@ property. Backward closures hand contributions to `_accum`, which takes
 ownership of the array on first write; a closure may pass the incoming
 gradient array itself to at most one parent (later in-place accumulation
 into it only ever mutates buffers of nodes already swept).
+
+Lifetime: a tape holds its nodes (`Tape.nodes`), but a node holds its tape
+only weakly, so the two never form a reference cycle. The caller keeps the
+tape alive, in a local, while it builds and sweeps; once the last reference
+to a tape goes, refcounting frees it at once, with every value and gradient
+buffer that only its nodes still reached, and no cyclic collection is
+needed. A node whose tape is gone raises ValueError when it is used in a
+new primitive or sweep; its `values` and `grad` stay readable.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -56,10 +65,12 @@ class TensorNode:
 
     `values` is a flat float64 array of length prod(shape); `array` gives
     a shaped read view. Nodes are immutable after creation except for the
-    gradient buffer, which the backward sweep fills.
+    gradient buffer, which the backward sweep fills. The node refers to its
+    tape weakly (see the module docstring); `tape` raises ValueError once
+    the tape has been dropped.
     """
 
-    __slots__ = ("tape", "shape", "values", "_grad", "parents", "_backward")
+    __slots__ = ("_tape_ref", "shape", "values", "_grad", "parents", "_backward")
 
     def __init__(
         self,
@@ -69,13 +80,20 @@ class TensorNode:
         parents: tuple["TensorNode", ...] = (),
         backward_fn: Callable[[np.ndarray], None] | None = None,
     ):
-        self.tape = tape
+        self._tape_ref = weakref.ref(tape)
         self.shape = shape
         self.values = values
         self._grad: np.ndarray | None = None
         self.parents = parents
         self._backward = backward_fn
         tape.nodes.append(self)
+
+    @property
+    def tape(self) -> "Tape":
+        tape = self._tape_ref()
+        if tape is None:
+            raise ValueError("node used after its tape was dropped; keep the Tape alive")
+        return tape
 
     @property
     def array(self) -> np.ndarray:

@@ -395,11 +395,16 @@ def _assess_convergence(record: RunRecord) -> None:
             record.status = "degraded"
 
 
-def run_openset(config: RunConfig) -> RunRecord:
-    """The full protocol: train, evaluate, head surgery, fine-tune, evaluate."""
+def run_openset(config: RunConfig, clouds=None) -> RunRecord:
+    """The full protocol: train, evaluate, head surgery, fine-tune, evaluate.
+
+    `clouds`, when given, is the corpus `load_corpus(config)` would return;
+    the run only reads it, so callers may share one corpus across runs.
+    """
     config.validate()
     t0 = time.perf_counter()
-    clouds = load_corpus(config)
+    if clouds is None:
+        clouds = load_corpus(config)
     ds = dt.build_openset_split(clouds, dt.labels_for_categories(config.unknown_categories))
     record = RunRecord(config=config.to_dict(), seed=config.seed, status="ok")
     trainer = _Trainer(config, record)
@@ -495,10 +500,13 @@ def run_train(config: RunConfig) -> tuple:
 
 
 def _sweep(config: RunConfig, grid, seeds, field_name: str) -> list:
+    # the swept field and the seed never reach the corpus: load it once
+    config.validate()
+    clouds = load_corpus(config)
     rows = []
     for value in sorted(grid):
         runs = [
-            run_openset(replace(config, **{field_name: value, "seed": seed}))
+            run_openset(replace(config, **{field_name: value, "seed": seed}), clouds)
             for seed in seeds
         ]
         ok = [r for r in runs if r.status != "diverged" and r.post_report is not None]

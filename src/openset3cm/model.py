@@ -250,13 +250,18 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
+    """Read a checkpoint written by `save_params`.
+
+    A malformed or truncated file raises ValueError naming ``path:line``.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _CKPT_HEADER:
-        raise ValueError(f"{path}: not a v1 parameter checkpoint")
-    if not lines[1].startswith("layers "):
-        raise ValueError(f"{path}: missing layer count")
-    n_layers = int(lines[1].split()[1])
+        raise ValueError(f"{path}:1: not a v1 parameter checkpoint")
+    head = lines[1].split() if len(lines) > 1 else []
+    if len(head) != 2 or head[0] != "layers" or not head[1].isdigit():
+        raise ValueError(f"{path}:2: missing layer count")
+    n_layers = int(head[1])
     tensors: dict[str, np.ndarray] = {}
     i = 2
     while i < len(lines):
@@ -264,15 +269,34 @@ def load_params(path) -> ModelParams:
             i += 1
             continue
         head = lines[i].split()
-        if head[0] != "tensor":
+        if head[:1] != ["tensor"] or len(head) not in (3, 4) or not all(
+            tok.isdigit() for tok in head[2:]
+        ):
             raise ValueError(f"{path}:{i + 1}: expected a tensor block")
         name, shape = head[1], tuple(int(s) for s in head[2:])
-        n_rows = shape[0] if len(shape) == 2 else 1
+        n_rows, n_cols = shape if len(shape) == 2 else (1, shape[0])
         rows = []
         for r in range(n_rows):
-            rows.append([float(tok) for tok in lines[i + 1 + r].split()])
+            at = i + 1 + r
+            if at >= len(lines):
+                raise ValueError(
+                    f"{path}:{at + 1}: file ends inside tensor {name} ({r} of {n_rows} rows)"
+                )
+            try:
+                row = [float(tok) for tok in lines[at].split()]
+            except ValueError:
+                raise ValueError(f"{path}:{at + 1}: non-numeric value in tensor {name}") from None
+            if len(row) != n_cols:
+                raise ValueError(
+                    f"{path}:{at + 1}: tensor {name} row has {len(row)} values, expected {n_cols}"
+                )
+            rows.append(row)
         tensors[name] = np.array(rows).reshape(shape)
         i += 1 + n_rows
+    expected = [f"{kind}{j}" for j in range(n_layers) for kind in ("mlp_w", "mlp_b")]
+    for name in (*expected, "seg_w", "seg_b", "cls_w", "cls_b"):
+        if name not in tensors:
+            raise ValueError(f"{path}:{len(lines) + 1}: missing tensor {name}")
     params = ModelParams(
         mlp_w=[tensors[f"mlp_w{j}"] for j in range(n_layers)],
         mlp_b=[tensors[f"mlp_b{j}"] for j in range(n_layers)],
@@ -281,7 +305,10 @@ def load_params(path) -> ModelParams:
         cls_w=tensors["cls_w"],
         cls_b=tensors["cls_b"],
     )
-    params.validate()
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return params
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,33 @@ class TestBackward:
         v2, g2 = run()
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(g1, g2)
+
+
+class TestLifetime:
+    def test_swept_tape_is_freed_by_refcounting(self):
+        gc.disable()
+        try:
+            t = ad.Tape()
+            x = t.leaf([1.0, -2.0, 3.0])
+            out = ad.sum_all(ad.multiply(ad.relu(x), x))
+            ad.backward(t, out)
+            tape_ref, grad_ref = weakref.ref(t), weakref.ref(x.grad)
+            del t
+            assert tape_ref() is None
+            del x, out
+            assert grad_ref() is None
+        finally:
+            gc.enable()
+
+    def test_node_of_dropped_tape_raises_value_error(self):
+        t = ad.Tape()
+        x = t.leaf([1.0, -2.0])
+        del t
+        np.testing.assert_array_equal(x.values, [1.0, -2.0])
+        with pytest.raises(ValueError, match="tape was dropped"):
+            ad.relu(x)
+        with pytest.raises(ValueError, match="tape was dropped"):
+            ad.multiply(x, 2.0)
 
 
 class TestShapePlumbing:

@@ -117,6 +117,13 @@ class TestTrainEval:
         rc = cli.main(["eval", "--checkpoint", str(ck)] + TINY_ARGS)
         assert rc == cli.EXIT_CONFIG
 
+    def test_eval_truncated_checkpoint_exits_config_error(self, tmp_path, capsys):
+        ck = tmp_path / "weights.txt"
+        ck.write_text("#params v1\n")
+        rc = cli.main(["eval", "--checkpoint", str(ck)] + TINY_ARGS)
+        assert rc == cli.EXIT_CONFIG
+        assert f"{ck}:2: missing layer count" in capsys.readouterr().err
+
 
 class TestOpenset:
     def test_full_run_reports_and_exit(self, tmp_path, capsys, monkeypatch):

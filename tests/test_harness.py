@@ -1,11 +1,17 @@
 """Run protocol, records, sweeps: everything short of full-scale training."""
 
+import gc
+import hashlib
 import json
 import math
+import weakref
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from openset3cm import autodiff as ad
 from openset3cm import data as dt
 from openset3cm import harness as hz
 from openset3cm import model as md
@@ -180,6 +186,37 @@ class TestDeterminism:
         text = hz.record_to_json(rec)
         assert hz.record_to_json(hz.record_from_json(text)) == text
 
+    def test_golden_record_digest(self):
+        """Pins the criterion-11 record bytes, so a refactor that drifts any
+        number fails here. Measured with numpy 2.4.6 on scipy-openblas
+        0.3.31; another BLAS build may round differently. A deliberate
+        change to the record's numbers updates this digest and says why
+        in CHANGES.md."""
+        cfg = hz.RunConfig(
+            lambda_=0.5, seed=2, shapes_per_category=20, n_points=64,
+            epochs_phase1=4, epochs_phase2=2,
+        )
+        digest = hashlib.sha256(hz.record_to_json(hz.run_openset(cfg)).encode()).hexdigest()
+        assert digest == "3867145abb51619c1d485f4f7e0d4e7a2f1847fb67eb7ccc535ea9a8e4c2383d"
+
+    def test_run_leaves_no_live_tape(self, monkeypatch):
+        made = []
+
+        class RecordingTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", RecordingTape)
+        gc.disable()
+        try:
+            rec = hz.run_openset(tiny_config(epochs_phase1=1, epochs_phase2=1))
+            assert rec.status == "ok"
+            assert len(made) == rec.n_steps
+            assert [r for r in made if r() is not None] == []
+        finally:
+            gc.enable()
+
 
 class TestSurgery:
     def test_retained_logits_identical_after_expand(self):
@@ -280,6 +317,31 @@ class TestSweeps:
     def test_beta_grid_bounds(self):
         with pytest.raises(ValueError, match="EMA factors"):
             hz.sweep_beta(tiny_config(), [1.5])
+
+    def test_sweep_generates_corpus_once(self, monkeypatch):
+        calls = []
+        real = dt.generate_corpus
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dt, "generate_corpus", counting)
+        cfg = tiny_config()
+        rows = hz.sweep_lambda(cfg, [0.5, 0.0], seeds=(0, 1))
+        assert len(calls) == 1
+        # same rows as the mean over standalone runs
+        for row in rows:
+            runs = [hz.run_openset(replace(cfg, lambda_=row["lambda_"], seed=s)) for s in (0, 1)]
+            counts = Counter(r.status for r in runs)
+            assert row == {
+                "lambda_": row["lambda_"],
+                "miou_seen": math.fsum(r.post_report.known_mean for r in runs) / 2,
+                "miou_unseen": math.fsum(r.post_report.unknown_mean for r in runs) / 2,
+                "n_runs": 2,
+                "n_ok": 2,
+                "status": ",".join(f"{k}={v}" for k, v in sorted(counts.items())),
+            }
 
     def test_beta_sweep_runs(self):
         rows = hz.sweep_beta(tiny_config(), [1.0], seeds=(0,))

@@ -251,13 +251,36 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             md.load_params(path)
 
-    def test_rejects_truncated_file(self, tmp_path):
+    def truncated(self, tmp_path, keep):
         params = md.init_params(3, seed=1, hidden=(4,))
         path = tmp_path / "weights.txt"
         md.save_params(params, path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:4]) + "\n")
-        with pytest.raises((ValueError, IndexError)):
+        path.write_text("\n".join(keep(lines)) + "\n")
+        return path
+
+    def test_rejects_truncated_file(self, tmp_path):
+        # cut inside the first tensor: 1 of its 3 rows survives
+        path = self.truncated(tmp_path, lambda lines: lines[:4])
+        with pytest.raises(ValueError, match=r"weights\.txt:5: file ends inside tensor mlp_w0"):
+            md.load_params(path)
+
+    def test_rejects_header_only_file(self, tmp_path):
+        path = self.truncated(tmp_path, lambda lines: lines[:1])
+        with pytest.raises(ValueError, match=r"weights\.txt:2: missing layer count"):
+            md.load_params(path)
+
+    def test_rejects_file_missing_last_tensor(self, tmp_path):
+        path = self.truncated(tmp_path, lambda lines: lines[:-2])
+        with pytest.raises(ValueError, match=r"weights\.txt:\d+: missing tensor cls_b"):
+            md.load_params(path)
+
+    def test_rejects_short_row(self, tmp_path):
+        def drop_value(lines):
+            return lines[:3] + [lines[3].rsplit(" ", 1)[0]] + lines[4:]
+
+        path = self.truncated(tmp_path, drop_value)
+        with pytest.raises(ValueError, match=r"weights\.txt:4: tensor mlp_w0 row has 3 values"):
             md.load_params(path)
 
 
