@@ -423,12 +423,16 @@ def pick(x: TensorNode, cols) -> TensorNode:
 
 
 def narrow(x: TensorNode, start: int, length: int) -> TensorNode:
-    """Contiguous slice of a 1-D node; used to carve parameter vectors."""
+    """Contiguous slice of a 1-D node; used to carve parameter vectors.
+
+    The value is a view of the operand's buffer, as with `reshape`: node
+    values are never written after creation.
+    """
     if len(x.shape) != 1:
         raise ShapeError("narrow: operand must be rank 1")
     if start < 0 or length < 1 or start + length > x.shape[0]:
         raise ShapeError(f"narrow: [{start}, {start + length}) outside length {x.shape[0]}")
-    out = x.values[start : start + length].copy()
+    out = x.values[start : start + length]
 
     def backward_fn(g: np.ndarray) -> None:
         x.grad[start : start + length] += g

@@ -3,8 +3,9 @@
 Subcommands: gen-data, train, openset, sweep-lambda, sweep-beta, eval,
 export-curves. Runs are configured by a flat key=value text file plus
 key=value overrides on the command line; `OPENSET3CM_SEED` in the
-environment beats both. Exit codes: 0 success, 2 config error, 3 diverged
-run (single-run subcommands only).
+environment beats both. Exit codes: 0 success, 2 error in the config, the
+data, a checkpoint or a file written (the message names the file and line
+where it can), 3 diverged run (single-run subcommands only).
 """
 
 from __future__ import annotations
@@ -243,10 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

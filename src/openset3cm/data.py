@@ -336,6 +336,22 @@ class OpenSetDataset:
         return {orig: col for col, orig in enumerate(self.phase2_column_manifest())}
 
 
+def _deal_split(categories: Sequence[int], test_fraction: float = 0.2) -> list:
+    """The split rule: (ordinal within category, is_test) per shape, in order.
+
+    Within each category, shapes are dealt out in order with every
+    round(1/test_fraction)-th one held out for test.
+    """
+    stride = int(round(1.0 / test_fraction))
+    seen: dict = {}
+    out = []
+    for cat in categories:
+        k = seen.get(cat, 0)
+        seen[cat] = k + 1
+        out.append((k, k % stride == stride - 1))
+    return out
+
+
 def build_openset_split(
     clouds: Sequence[LabeledCloud],
     unknown_source_classes,
@@ -344,9 +360,8 @@ def build_openset_split(
     """Merge the chosen labels into one cluster and compact the rest.
 
     Coordinates are shared with the input clouds, never copied or touched;
-    only label arrays are rebuilt. The train/test split is deterministic:
-    within each category, shapes are dealt out in generation order with
-    every floor(1/test_fraction)-th one held out.
+    only label arrays are rebuilt. The train/test split follows
+    `_deal_split`, the rule `write_corpus_dir` records in its manifest.
     """
     if not clouds:
         raise ValueError("empty corpus")
@@ -365,13 +380,9 @@ def build_openset_split(
     label_map = {orig: i for i, orig in enumerate(known)}
     label_map.update({orig: unknown_label for orig in unknown})
 
-    stride = int(round(1.0 / test_fraction))
-    per_cat_count: dict = {}
-    train_s, test_s = [], []
-    for cloud in clouds:
-        k = per_cat_count.get(cloud.category, 0)
-        per_cat_count[cloud.category] = k + 1
-        (test_s if k % stride == stride - 1 else train_s).append(cloud)
+    deal = _deal_split([c.category for c in clouds], test_fraction)
+    train_s = [c for c, (_, is_test) in zip(clouds, deal) if not is_test]
+    test_s = [c for c, (_, is_test) in zip(clouds, deal) if is_test]
 
     def remap(cloud: LabeledCloud) -> LabeledCloud:
         mapped = np.array([label_map[int(l)] for l in cloud.part_labels], dtype=np.int64)
@@ -442,44 +453,56 @@ def read_cloud(path) -> LabeledCloud:
     return cloud
 
 
-def write_corpus_dir(clouds: Sequence[LabeledCloud], out_dir, test_fraction: float = 0.2) -> None:
-    """Write one file per cloud plus a manifest of path, category, split."""
+def write_corpus_dir(clouds: Sequence[LabeledCloud], out_dir) -> None:
+    """Write one file per cloud plus a manifest of path, category, split.
+
+    The split column follows `_deal_split` at the default fraction, the
+    rule `load_corpus_dir` checks it against.
+    """
     from pathlib import Path
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stride = int(round(1.0 / test_fraction))
-    per_cat: dict = {}
     rows = []
-    for cloud in clouds:
-        k = per_cat.get(cloud.category, 0)
-        per_cat[cloud.category] = k + 1
-        split = "test" if k % stride == stride - 1 else "train"
+    for cloud, (k, is_test) in zip(clouds, _deal_split([c.category for c in clouds])):
         name = f"cat{cloud.category}_shape{k:04d}.pcd"
         write_cloud(cloud, out / name)
-        rows.append(f"{name} {cloud.category} {split}")
+        rows.append(f"{name} {cloud.category} {'test' if is_test else 'train'}")
     (out / "manifest.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def load_corpus_dir(corpus_dir) -> list:
-    """Read every cloud named by the manifest, in manifest order."""
+    """Read every cloud named by the manifest, in manifest order.
+
+    The manifest's split column must agree with the split rule
+    (`_deal_split` at the default fraction), which `build_openset_split`
+    applies to the loaded clouds; a disagreeing row raises ValueError.
+    """
     from pathlib import Path
 
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise ValueError(f"{manifest}: missing manifest")
-    clouds = []
+    rows = []
     for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         tokens = line.split()
-        if len(tokens) != 3 or tokens[2] not in ("train", "test"):
+        if len(tokens) != 3 or not tokens[1].isdigit() or tokens[2] not in ("train", "test"):
             raise ValueError(f"{manifest}:{lineno}: expected 'path category split'")
-        cloud = read_cloud(root / tokens[0])
-        if cloud.category != int(tokens[1]):
-            raise ValueError(f"{manifest}:{lineno}: category mismatch with {tokens[0]}")
-        clouds.append(cloud)
-    if not clouds:
+        rows.append((lineno, tokens[0], int(tokens[1]), tokens[2]))
+    if not rows:
         raise ValueError(f"{manifest}: no clouds listed")
+    clouds = []
+    rule = _deal_split([category for _, _, category, _ in rows])
+    for (lineno, name, category, split), (_, is_test) in zip(rows, rule):
+        if split != ("test" if is_test else "train"):
+            raise ValueError(
+                f"{manifest}:{lineno}: split {split!r} disagrees with the every-5th-is-test rule"
+            )
+        cloud = read_cloud(root / name)
+        if cloud.category != category:
+            raise ValueError(f"{manifest}:{lineno}: category mismatch with {name}")
+        clouds.append(cloud)
     return clouds

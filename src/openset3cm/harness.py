@@ -81,16 +81,7 @@ class RunConfig:
 
     def validate(self) -> None:
         # TrainConfig re-validates the objective fields; check the rest here
-        ls.TrainConfig(
-            lambda_=self.lambda_,
-            beta=self.beta,
-            sign_mode=self.sign_mode,
-            lr=self.lr,
-            epochs=self.epochs_phase1,
-            batch=self.batch,
-            seed=self.seed,
-            unknown_label=0,
-        )
+        _train_config(self, self.lambda_, self.epochs_phase1, unknown_label=0)
         if self.epochs_phase2 < 0:
             raise ValueError("epochs_phase2 must be nonnegative")
         if self.n_points < 8:
@@ -116,46 +107,47 @@ class RunConfig:
         The ``OPENSET3CM_SEED`` environment variable, when set, wins over
         any seed given here.
         """
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
         kwargs = {}
         for raw_key, raw in mapping.items():
-            key = {"lambda": "lambda_", "unknown_classes": "unknown_categories"}.get(
-                raw_key, raw_key
-            )
-            if key == "sign_mode" or key == "data_dir":
-                kwargs[key] = str(raw)
-            elif key == "unknown_categories":
-                if isinstance(raw, str):
-                    parts = [p for p in raw.replace(",", " ").split() if p]
-                    kwargs[key] = tuple(int(p) for p in parts)
-                else:
-                    kwargs[key] = tuple(int(p) for p in raw)
-            elif key in ("augment", "phase2_l3cm"):
-                if isinstance(raw, str):
-                    if raw not in ("0", "1"):
-                        raise ValueError(f"config key {raw_key}: expected 0 or 1, got {raw!r}")
-                    kwargs[key] = raw == "1"
-                else:
-                    kwargs[key] = bool(raw)
-            elif key in ("lambda_", "beta", "lr"):
-                kwargs[key] = float(raw)
-            elif key in (
-                "epochs_phase1",
-                "epochs_phase2",
-                "batch",
-                "seed",
-                "n_points",
-                "shapes_per_category",
-                "data_seed",
-            ):
-                kwargs[key] = int(raw)
-            else:
+            key = _CONFIG_ALIASES.get(raw_key, raw_key)
+            kind = kinds.get(key)
+            if kind is None:
                 raise ValueError(f"unknown config key {raw_key!r}")
+            if kind == "tuple":
+                parts = raw.replace(",", " ").split() if isinstance(raw, str) else raw
+                kwargs[key] = tuple(int(p) for p in parts)
+            elif kind == "bool" and isinstance(raw, str):
+                if raw not in ("0", "1"):
+                    raise ValueError(f"config key {raw_key}: expected 0 or 1, got {raw!r}")
+                kwargs[key] = raw == "1"
+            else:
+                kwargs[key] = _SCALAR_PARSERS[kind](raw)
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None:
             kwargs["seed"] = int(env_seed)
         config = cls(**kwargs)
         config.validate()
         return config
+
+
+# config-file spellings that differ from the field names (see RunConfig)
+_CONFIG_ALIASES = {"lambda": "lambda_", "unknown_classes": "unknown_categories"}
+# RunConfig field annotations are strings under `from __future__ import annotations`
+_SCALAR_PARSERS = {"float": float, "int": int, "str": str, "bool": bool}
+
+
+def _train_config(config: RunConfig, lambda_: float, epochs: int, unknown_label: int):
+    return ls.TrainConfig(
+        lambda_=lambda_,
+        beta=config.beta,
+        sign_mode=config.sign_mode,
+        lr=config.lr,
+        epochs=epochs,
+        batch=config.batch,
+        seed=config.seed,
+        unknown_label=unknown_label,
+    )
 
 
 @dataclass
@@ -209,43 +201,25 @@ def _report_from_payload(payload) -> mt.IoUReport | None:
     )
 
 
+# serialized keys: every field but ``wall_clock``; ``*_report`` fields are IoUReports
+_RECORD_KEYS = tuple(f.name for f in dataclasses.fields(RunRecord) if f.name != "wall_clock")
+
+
 def record_to_json(record: RunRecord) -> str:
-    payload = {
-        "config": record.config,
-        "seed": record.seed,
-        "status": record.status,
-        "phase": record.phase,
-        "ce": record.ce,
-        "l3cm": record.l3cm,
-        "total": record.total,
-        "epoch_summaries": record.epoch_summaries,
-        "q_hat_trace": record.q_hat_trace,
-        "final_q_hat": record.final_q_hat,
-        "seen_count": record.seen_count,
-        "column_manifest": record.column_manifest,
-        "pre_report": _report_payload(record.pre_report),
-        "post_report": _report_payload(record.post_report),
-    }
+    payload = {}
+    for key in _RECORD_KEYS:
+        value = getattr(record, key)
+        payload[key] = _report_payload(value) if key.endswith("_report") else value
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def record_from_json(text: str) -> RunRecord:
     payload = json.loads(text)
     return RunRecord(
-        config=payload["config"],
-        seed=payload["seed"],
-        status=payload["status"],
-        phase=payload["phase"],
-        ce=payload["ce"],
-        l3cm=payload["l3cm"],
-        total=payload["total"],
-        epoch_summaries=payload["epoch_summaries"],
-        q_hat_trace=payload["q_hat_trace"],
-        final_q_hat=payload["final_q_hat"],
-        seen_count=payload["seen_count"],
-        column_manifest=payload["column_manifest"],
-        pre_report=_report_from_payload(payload["pre_report"]),
-        post_report=_report_from_payload(payload["post_report"]),
+        **{
+            key: _report_from_payload(payload[key]) if key.endswith("_report") else payload[key]
+            for key in _RECORD_KEYS
+        }
     )
 
 
@@ -273,15 +247,20 @@ def _phase1_part_sets(ds: dt.OpenSetDataset) -> dict:
 
 
 class _Trainer:
-    """Single-run state: parameters, rng stream, the growing record."""
+    """Single-run state: the rng stream, the step count, the growing record."""
 
-    def __init__(self, config: RunConfig, record: RunRecord):
+    def __init__(self, config: RunConfig):
         self.config = config
-        self.record = record
+        self.record = RunRecord(config=config.to_dict(), seed=config.seed, status="ok")
         self.rng = np.random.default_rng([config.seed, 0x3C])
         self.step = 0
+        self.t0 = time.perf_counter()
 
-    def _batch_arrays(self, clouds, ids, n_points):
+    def finish(self) -> RunRecord:
+        self.record.wall_clock = time.perf_counter() - self.t0
+        return self.record
+
+    def _batch_arrays(self, clouds, ids):
         blocks = []
         for i in ids:
             pts = clouds[i].points
@@ -291,8 +270,11 @@ class _Trainer:
         return np.vstack(blocks)
 
     def run_phase(self, phase, params, clouds, label_arrays, cfg, agg):
-        """Train one phase; returns the final aggregate or None on divergence."""
-        config = self.config
+        """Train one phase; returns the final aggregate or None on divergence.
+
+        Each step puts ``params.flat`` on the tape as one leaf, carves it
+        with `md.nodes_from_vector` and updates it with one vector SGD step.
+        """
         record = self.record
         n_points = clouds[0].n_points
         order = np.arange(len(clouds))
@@ -301,10 +283,11 @@ class _Trainer:
             epoch_ce, epoch_total = [], []
             for start in range(0, len(order) - cfg.batch + 1, cfg.batch):
                 ids = order[start : start + cfg.batch]
-                pts = self._batch_arrays(clouds, ids, n_points)
+                pts = self._batch_arrays(clouds, ids)
                 labels = np.concatenate([label_arrays[i] for i in ids])
                 tape = ad.Tape()
-                nodes = md.params_to_nodes(tape, params)
+                leaf = tape.leaf(params.flat)
+                nodes = md.nodes_from_vector(tape, leaf, params)
                 logits = md.build_seg_logits(
                     tape, nodes, tape.constant(pts), len(ids), n_points
                 )
@@ -322,7 +305,7 @@ class _Trainer:
                     record.status = "diverged"
                     return None
                 ad.backward(tape, obj.total)
-                md.apply_sgd_step(params, nodes, cfg.lr)
+                params.flat -= cfg.lr * leaf.grad
                 if obj.unknown_rows.size:
                     agg = ls.ema_update(agg, obj.probs.array[obj.unknown_rows])
                 self.step += 1
@@ -366,11 +349,6 @@ def evaluate_params(params: md.ModelParams, ds: dt.OpenSetDataset, config: RunCo
     return mt.compile_report(records, unknown_categories=config.unknown_categories)
 
 
-def _finish(record: RunRecord, t0: float) -> RunRecord:
-    record.wall_clock = time.perf_counter() - t0
-    return record
-
-
 def _assess_convergence(record: RunRecord) -> None:
     """Mark the run degraded when phase 1 shows no real convergence.
 
@@ -395,39 +373,42 @@ def _assess_convergence(record: RunRecord) -> None:
             record.status = "degraded"
 
 
+def _run_phase1(config: RunConfig, clouds):
+    """The start every run shares: split, init, phase 1, evaluation.
+
+    Returns (trainer, params, ds). When phase 1 diverged the record's
+    status says so and it holds no evaluation; otherwise it carries the
+    tracker state, the pre-surgery report and the convergence verdict.
+    """
+    config.validate()
+    trainer = _Trainer(config)
+    if clouds is None:
+        clouds = load_corpus(config)
+    ds = dt.build_openset_split(clouds, dt.labels_for_categories(config.unknown_categories))
+    params = md.init_params(ds.n_train_labels, seed=config.seed)
+    cfg1 = _train_config(config, config.lambda_, config.epochs_phase1, ds.unknown_label)
+    agg = ls.EmaAggregate.uniform(ds.n_train_labels, config.beta)
+    labels1 = [c.part_labels for c in ds.train]
+    agg = trainer.run_phase(1, params, ds.train, labels1, cfg1, agg)
+    if agg is not None:
+        record = trainer.record
+        record.final_q_hat = agg.q_hat.tolist()
+        record.seen_count = agg.seen_count
+        record.pre_report = evaluate_params(params, ds, config, surgery_done=False)
+        _assess_convergence(record)
+    return trainer, params, ds
+
+
 def run_openset(config: RunConfig, clouds=None) -> RunRecord:
     """The full protocol: train, evaluate, head surgery, fine-tune, evaluate.
 
     `clouds`, when given, is the corpus `load_corpus(config)` would return;
     the run only reads it, so callers may share one corpus across runs.
     """
-    config.validate()
-    t0 = time.perf_counter()
-    if clouds is None:
-        clouds = load_corpus(config)
-    ds = dt.build_openset_split(clouds, dt.labels_for_categories(config.unknown_categories))
-    record = RunRecord(config=config.to_dict(), seed=config.seed, status="ok")
-    trainer = _Trainer(config, record)
-
-    params = md.init_params(ds.n_train_labels, seed=config.seed)
-    cfg1 = ls.TrainConfig(
-        lambda_=config.lambda_,
-        beta=config.beta,
-        sign_mode=config.sign_mode,
-        lr=config.lr,
-        epochs=config.epochs_phase1,
-        batch=config.batch,
-        seed=config.seed,
-        unknown_label=ds.unknown_label,
-    )
-    agg = ls.EmaAggregate.uniform(ds.n_train_labels, config.beta)
-    labels1 = [c.part_labels for c in ds.train]
-    agg = trainer.run_phase(1, params, ds.train, labels1, cfg1, agg)
-    if agg is None:
-        return _finish(record, t0)
-    record.final_q_hat = agg.q_hat.tolist()
-    record.seen_count = agg.seen_count
-    record.pre_report = evaluate_params(params, ds, config, surgery_done=False)
+    trainer, params, ds = _run_phase1(config, clouds)
+    record = trainer.record
+    if record.status == "diverged":
+        return trainer.finish()
 
     # head surgery: drop the merged column, one fresh column per source label
     add_k = len(ds.unknown_source_classes)
@@ -442,23 +423,15 @@ def run_openset(config: RunConfig, clouds=None) -> RunRecord:
         for c in ds.train_source
     ]
     n_phase2 = len(record.column_manifest)
-    cfg2 = ls.TrainConfig(
-        lambda_=config.lambda_ if config.phase2_l3cm else 0.0,
-        beta=config.beta,
-        sign_mode=config.sign_mode,
-        lr=config.lr,
-        epochs=config.epochs_phase2,
-        batch=config.batch,
-        seed=config.seed,
-        unknown_label=n_phase2,  # no point carries this label: the term keys
-        # on the merged cluster, which no longer exists after surgery
+    # no point carries label n_phase2: the term keys on the merged cluster,
+    # which no longer exists after surgery
+    cfg2 = _train_config(
+        config, config.lambda_ if config.phase2_l3cm else 0.0, config.epochs_phase2, n_phase2
     )
     agg2 = ls.EmaAggregate.uniform(n_phase2, config.beta)
-    if trainer.run_phase(2, params, ds.train_source, labels2, cfg2, agg2) is None:
-        return _finish(record, t0)
-    record.post_report = evaluate_params(params, ds, config, surgery_done=True)
-    _assess_convergence(record)
-    return _finish(record, t0)
+    if trainer.run_phase(2, params, ds.train_source, labels2, cfg2, agg2) is not None:
+        record.post_report = evaluate_params(params, ds, config, surgery_done=True)
+    return trainer.finish()
 
 
 def run_train(config: RunConfig) -> tuple:
@@ -466,32 +439,8 @@ def run_train(config: RunConfig) -> tuple:
 
     Returns (record, params, dataset) so callers can checkpoint the weights.
     """
-    config.validate()
-    t0 = time.perf_counter()
-    clouds = load_corpus(config)
-    ds = dt.build_openset_split(clouds, dt.labels_for_categories(config.unknown_categories))
-    record = RunRecord(config=config.to_dict(), seed=config.seed, status="ok")
-    trainer = _Trainer(config, record)
-    params = md.init_params(ds.n_train_labels, seed=config.seed)
-    cfg1 = ls.TrainConfig(
-        lambda_=config.lambda_,
-        beta=config.beta,
-        sign_mode=config.sign_mode,
-        lr=config.lr,
-        epochs=config.epochs_phase1,
-        batch=config.batch,
-        seed=config.seed,
-        unknown_label=ds.unknown_label,
-    )
-    agg = ls.EmaAggregate.uniform(ds.n_train_labels, config.beta)
-    labels1 = [c.part_labels for c in ds.train]
-    agg = trainer.run_phase(1, params, ds.train, labels1, cfg1, agg)
-    if agg is not None:
-        record.final_q_hat = agg.q_hat.tolist()
-        record.seen_count = agg.seen_count
-        record.pre_report = evaluate_params(params, ds, config, surgery_done=False)
-        _assess_convergence(record)
-    return _finish(record, t0), params, ds
+    trainer, params, ds = _run_phase1(config, None)
+    return trainer.finish(), params, ds
 
 
 # ---------------------------------------------------------------------------

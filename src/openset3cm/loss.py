@@ -30,9 +30,7 @@ __all__ = [
     "SIGN_MODES",
     "EmaAggregate",
     "TrainConfig",
-    "TermInactive",
     "Objective",
-    "ce_loss",
     "l3cm",
     "total_objective",
     "ema_update",
@@ -40,10 +38,6 @@ __all__ = [
 
 # sign applied to the weighted spread term inside the minimized objective
 SIGN_MODES = {"maximize_cmi": -1.0, "literal_eq8": 1.0}
-
-
-class TermInactive(Exception):
-    """The unknown-cluster term has no points to act on in this batch."""
 
 
 @dataclass(frozen=True)
@@ -112,39 +106,20 @@ class TrainConfig:
         return SIGN_MODES[self.sign_mode]
 
 
-def _ce_from_probs(probs: ad.TensorNode, labels: np.ndarray, n: int) -> ad.TensorNode:
-    # shared by ce_loss and total_objective so both build the identical graph
-    picked = ad.pick(ad.log(probs, EPS), labels)
-    return ad.multiply(ad.sum_all(picked), -1.0 / n)
-
-
-def ce_loss(logits: ad.TensorNode, labels) -> ad.TensorNode:
-    """Mean negative log-likelihood of the true class, in nats.
-
-    ``logits`` is a rank-2 node (points by classes); ``labels`` one class
-    index per row.  Out-of-range labels raise :class:`autodiff.ShapeError`.
-    """
-    if len(logits.shape) != 2:
-        raise ad.ShapeError("ce_loss: logits must be rank 2")
-    labels = np.asarray(labels, dtype=int)
-    probs = ad.softmax(logits, axis=1)
-    return _ce_from_probs(probs, labels, logits.shape[0])
-
-
 def l3cm(probs: ad.TensorNode, agg: EmaAggregate) -> ad.TensorNode:
     """Mean KL divergence from each row of ``probs`` to ``agg.q_hat``.
 
     ``probs`` is a rank-2 node whose rows are the predicted distributions of
     unknown-cluster points.  The aggregate enters as a constant: gradients
     steer the per-point distributions, never the tracker.  A batch with zero
-    rows raises :class:`TermInactive`, which callers treat as "skip the
-    term", not as failure.
+    rows raises ValueError: the term has nothing to act on, and
+    :func:`total_objective` leaves it out of such batches.
     """
     if len(probs.shape) != 2:
         raise ad.ShapeError("l3cm: probs must be rank 2")
     m, c = probs.shape
     if m == 0:
-        raise TermInactive("no unknown-cluster points in this batch")
+        raise ValueError("l3cm: no unknown-cluster points in this batch")
     if c != agg.q_hat.size:
         raise ValueError(f"l3cm: probs have {c} classes but the aggregate has {agg.q_hat.size}")
     tape = probs.tape
@@ -189,7 +164,8 @@ def total_objective(
         raise ValueError(f"total_objective: {c} classes but the aggregate has {agg.q_hat.size}")
     labels = np.asarray(labels, dtype=int)
     probs = ad.softmax(logits, axis=1)
-    ce = _ce_from_probs(probs, labels, n)
+    # mean negative log-likelihood of the true class
+    ce = ad.multiply(ad.sum_all(ad.pick(ad.log(probs, EPS), labels)), -1.0 / n)
     unknown_rows = np.flatnonzero(labels == cfg.unknown_label)
     term = None
     total = ce

@@ -1,4 +1,4 @@
-"""Segmentation and classification quality measures.
+"""Segmentation quality measures.
 
 Part IoU follows the empty-part convention: a part absent from both the
 prediction and the ground truth scores 1, so shapes are never punished for
@@ -20,7 +20,6 @@ __all__ = [
     "part_iou",
     "shape_miou",
     "category_miou",
-    "grouped_accuracy",
     "IoUReport",
     "compile_report",
     "report_to_csv",
@@ -61,27 +60,6 @@ def category_miou(shape_mious: Iterable) -> float:
     if not values:
         raise ValueError("no shapes to average")
     return math.fsum(values) / len(values)
-
-
-def grouped_accuracy(pred, gt, seen) -> tuple:
-    """Per-group accuracy split by ground-truth membership in ``seen``.
-
-    Returns (seen_accuracy, unseen_accuracy); a group with no samples yields
-    None rather than a misleading 0.
-    """
-    pred, gt = _paired(pred, gt)
-    seen = set(int(s) for s in seen)
-    if not seen:
-        raise ValueError("seen must be nonempty")
-    in_seen = np.isin(gt, sorted(seen))
-
-    def acc(mask):
-        total = int(mask.sum())
-        if total == 0:
-            return None
-        return int(np.sum((pred == gt) & mask)) / total
-
-    return acc(in_seen), acc(~in_seen)
 
 
 @dataclass

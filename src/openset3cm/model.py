@@ -13,11 +13,17 @@ single-GEMM head would not preserve retained columns bit-exactly across
 head surgery. Training uses the tape builder below, where the head is
 one fused product per block for speed; no contract compares logits
 across the two paths.
+
+All parameters live in one flat float64 buffer, `ModelParams.flat`, and
+the named arrays are views into it. A training step puts the buffer on
+the tape as one leaf, carves it into per-tensor nodes with
+`nodes_from_vector`, and updates it with one vector SGD step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,10 +39,8 @@ __all__ = [
     "save_params",
     "load_params",
     "ParamNodes",
-    "params_to_nodes",
     "params_vector",
     "nodes_from_vector",
-    "apply_sgd_step",
     "build_seg_logits",
 ]
 
@@ -46,7 +50,14 @@ DEFAULT_INIT_STD = 0.1
 
 @dataclass
 class ModelParams:
-    """Encoder and head weights; arrays are float64 and mutated in place by SGD."""
+    """Encoder and head weights, packed into one float64 buffer.
+
+    Construction copies the given arrays into ``flat`` in `_tensor_names`
+    order and rebinds every field to a view of it, so SGD updates all of
+    them with one in-place vector step on ``flat``. The views must be
+    updated in place (``params.seg_w[...] = x``), never rebound: a rebound
+    array no longer shares ``flat`` and training would not see it.
+    """
 
     mlp_w: list[np.ndarray]
     mlp_b: list[np.ndarray]
@@ -54,6 +65,22 @@ class ModelParams:
     seg_b: np.ndarray  # (C,)
     cls_w: np.ndarray  # (F, C)
     cls_b: np.ndarray  # (C,)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.mlp_w) != len(self.mlp_b):
+            raise ValueError("mlp layer lists are unbalanced")
+        arrays = [np.asarray(arr, dtype=float) for _, arr in _tensor_names(self)]
+        self.flat = np.empty(sum(arr.size for arr in arrays))
+        views, cursor = [], 0
+        for arr in arrays:
+            view = self.flat[cursor : cursor + arr.size].reshape(arr.shape)
+            view[...] = arr
+            views.append(view)
+            cursor += arr.size
+        n = 2 * len(self.mlp_w)
+        self.mlp_w, self.mlp_b = views[0:n:2], views[1:n:2]
+        self.seg_w, self.seg_b, self.cls_w, self.cls_b = views[n:]
 
     @property
     def feature_dim(self) -> int:
@@ -90,14 +117,7 @@ class ModelParams:
         return [*self.mlp_w, *self.mlp_b, self.seg_w, self.seg_b, self.cls_w, self.cls_b]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            mlp_w=[w.copy() for w in self.mlp_w],
-            mlp_b=[b.copy() for b in self.mlp_b],
-            seg_w=self.seg_w.copy(),
-            seg_b=self.seg_b.copy(),
-            cls_w=self.cls_w.copy(),
-            cls_b=self.cls_b.copy(),
-        )
+        return replace(self)  # construction packs a fresh buffer
 
 
 def init_params(
@@ -200,8 +220,8 @@ def expand_head(
     rng = np.random.default_rng(seed)
     keep = [c for c in range(c_old) if c != remove_col]
     new = ModelParams(
-        mlp_w=[w.copy() for w in params.mlp_w],
-        mlp_b=[b.copy() for b in params.mlp_b],
+        mlp_w=params.mlp_w,
+        mlp_b=params.mlp_b,
         seg_w=np.concatenate(
             [params.seg_w[:, keep], rng.normal(0.0, init_scale, (params.seg_w.shape[0], add_k))],
             axis=1,
@@ -319,56 +339,51 @@ def load_params(path) -> ModelParams:
 
 @dataclass
 class ParamNodes:
-    """Tape leaves mirroring ModelParams, created fresh each step."""
+    """Tape nodes for the trained tensors, carved from one parameter leaf.
+
+    The segmentation head's weight comes in its two (F, C) halves: ``seg_top``
+    scores per-point features, ``seg_bottom`` the pooled global feature.
+    """
 
     mlp_w: list[ad.TensorNode]
     mlp_b: list[ad.TensorNode]
-    seg_w: ad.TensorNode
+    seg_top: ad.TensorNode
+    seg_bottom: ad.TensorNode
     seg_b: ad.TensorNode
-    cls_w: ad.TensorNode
-    cls_b: ad.TensorNode
-
-    def pairs(self, params: ModelParams):
-        yield from zip([*self.mlp_w, *self.mlp_b], [*params.mlp_w, *params.mlp_b])
-        yield self.seg_w, params.seg_w
-        yield self.seg_b, params.seg_b
-        yield self.cls_w, params.cls_w
-        yield self.cls_b, params.cls_b
-
-
-def params_to_nodes(tape: ad.Tape, params: ModelParams) -> ParamNodes:
-    return ParamNodes(
-        mlp_w=[tape.leaf(w) for w in params.mlp_w],
-        mlp_b=[tape.leaf(b) for b in params.mlp_b],
-        seg_w=tape.leaf(params.seg_w),
-        seg_b=tape.leaf(params.seg_b),
-        cls_w=tape.leaf(params.cls_w),
-        cls_b=tape.leaf(params.cls_b),
-    )
 
 
 def params_vector(params: ModelParams) -> np.ndarray:
-    """Flatten all parameters in the fixed layer order (for gradient checks)."""
-    return np.concatenate([arr.ravel() for _, arr in _tensor_names(params)])
+    """A copy of all parameters in the fixed layer order (the layout of ``flat``)."""
+    return params.flat.copy()
 
 
 def nodes_from_vector(tape: ad.Tape, leaf: ad.TensorNode, template: ModelParams) -> ParamNodes:
-    """Carve a flat parameter leaf into ParamNodes matching `template`'s shapes."""
+    """Carve a flat parameter leaf laid out like ``template.flat`` into ParamNodes.
+
+    The classification head is not carved: it never enters the training
+    graph, so its slice of the leaf's gradient stays zero and an SGD step
+    leaves it bit-unchanged.
+    """
+    if leaf.shape != template.flat.shape:
+        raise ad.ShapeError(f"parameter leaf {leaf.shape} vs layout {template.flat.shape}")
     cursor = 0
-    carved: dict[str, ad.TensorNode] = {}
-    for name, arr in _tensor_names(template):
-        seg = ad.narrow(leaf, cursor, arr.size)
-        carved[name] = ad.reshape(seg, arr.shape) if arr.ndim == 2 else seg
-        cursor += arr.size
-    n_layers = len(template.mlp_w)
-    return ParamNodes(
-        mlp_w=[carved[f"mlp_w{j}"] for j in range(n_layers)],
-        mlp_b=[carved[f"mlp_b{j}"] for j in range(n_layers)],
-        seg_w=carved["seg_w"],
-        seg_b=carved["seg_b"],
-        cls_w=carved["cls_w"],
-        cls_b=carved["cls_b"],
-    )
+
+    def carve(shape):
+        nonlocal cursor
+        size = math.prod(shape)
+        node = ad.narrow(leaf, cursor, size)
+        cursor += size
+        return ad.reshape(node, shape) if len(shape) == 2 else node
+
+    mlp_w, mlp_b = [], []
+    for w, b in zip(template.mlp_w, template.mlp_b):
+        mlp_w.append(carve(w.shape))
+        mlp_b.append(carve(b.shape))
+    half = (template.feature_dim, template.n_classes)
+    seg_top = carve(half)
+    seg_bottom = carve(half)
+    seg_b = carve(template.seg_b.shape)
+    return ParamNodes(mlp_w, mlp_b, seg_top, seg_bottom, seg_b)
 
 
 def build_seg_logits(
@@ -381,25 +396,12 @@ def build_seg_logits(
     """Segmentation logits for `batch` stacked clouds of `n_points` each.
 
     `points` is (batch * n_points, 3). The head over [per-point | global]
-    is computed blockwise: top rows of seg_w hit per-point features,
-    bottom rows hit the per-cloud max feature (repeated per point).
+    is computed blockwise: the top half of seg_w hits per-point features,
+    the bottom half hits the per-cloud max feature (repeated per point).
     """
     h = points
     for w, b in zip(nodes.mlp_w, nodes.mlp_b):
         h = ad.relu(ad.linear(h, w, b))
-    f_dim = h.shape[1]
-    n_cls = nodes.seg_b.shape[0]
-    per_cloud = ad.max_reduce(ad.reshape(h, (batch, n_points, f_dim)), axis=1)
-    w_flat = ad.reshape(nodes.seg_w, (2 * f_dim * n_cls,))
-    w_top = ad.reshape(ad.narrow(w_flat, 0, f_dim * n_cls), (f_dim, n_cls))
-    w_bot = ad.reshape(ad.narrow(w_flat, f_dim * n_cls, f_dim * n_cls), (f_dim, n_cls))
-    global_part = ad.repeat_rows(ad.matmul(per_cloud, w_bot), n_points)
-    return ad.add_rowvec(ad.add(ad.matmul(h, w_top), global_part), nodes.seg_b)
-
-
-def apply_sgd_step(params: ModelParams, nodes: ParamNodes, lr: float) -> None:
-    """In-place SGD update from the gradients accumulated on `nodes`."""
-    for node, arr in nodes.pairs(params):
-        grad = node._grad
-        if grad is not None:
-            arr -= lr * grad.reshape(arr.shape)
+    per_cloud = ad.max_reduce(ad.reshape(h, (batch, n_points, h.shape[1])), axis=1)
+    global_part = ad.repeat_rows(ad.matmul(per_cloud, nodes.seg_bottom), n_points)
+    return ad.add_rowvec(ad.add(ad.matmul(h, nodes.seg_top), global_part), nodes.seg_b)

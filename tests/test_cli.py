@@ -122,7 +122,9 @@ class TestTrainEval:
         ck.write_text("#params v1\n")
         rc = cli.main(["eval", "--checkpoint", str(ck)] + TINY_ARGS)
         assert rc == cli.EXIT_CONFIG
-        assert f"{ck}:2: missing layer count" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {ck}:2: missing layer count" in err
+        assert "config error" not in err
 
 
 class TestOpenset:

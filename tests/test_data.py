@@ -280,3 +280,17 @@ class TestCorpusDir:
         manifest.write_text(manifest.read_text().replace(" 0 ", " 3 "))
         with pytest.raises(ValueError, match="mismatch"):
             dt.load_corpus_dir(tmp_path / "c")
+
+    def test_manifest_split_must_follow_rule(self, tmp_path):
+        corpus = dt.generate_corpus(5, 32, seed=2, categories=[0, 1])
+        dt.write_corpus_dir(corpus, tmp_path / "c")
+        manifest = tmp_path / "c" / "manifest.txt"
+        rows = manifest.read_text().splitlines()
+        assert [r.endswith(" test") for r in rows] == [False] * 4 + [True] + [False] * 4 + [True]
+        manifest.write_text("\n".join(r.replace(" test", " train") for r in rows) + "\n")
+        with pytest.raises(ValueError, match=r"manifest\.txt:5: split 'train' disagrees"):
+            dt.load_corpus_dir(tmp_path / "c")
+        rows[1] = rows[1].replace(" train", " test")
+        manifest.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"manifest\.txt:2: split 'test' disagrees"):
+            dt.load_corpus_dir(tmp_path / "c")

@@ -18,6 +18,13 @@ CE_LOG3_LABEL0 = 0.2876820724517809  # -log(3/4)
 KL_HALF_VS_QUARTERS = 0.14384103622589042
 
 
+def ce_of(logits, labels):
+    """The cross-entropy node of `total_objective` with the spread term off."""
+    agg = ls.EmaAggregate.uniform(logits.shape[-1], 0.995)
+    cfg = ls.TrainConfig(lambda_=0.0, unknown_label=0)
+    return ls.total_objective(logits, labels, agg, cfg).ce
+
+
 def softmax_rows(z):
     p = np.exp(z - z.max(axis=1, keepdims=True))
     return p / p.sum(axis=1, keepdims=True)
@@ -164,29 +171,29 @@ class TestEmaUpdate:
 class TestCeLoss:
     def test_frozen_two_class_example(self):
         tape = ad.Tape()
-        node = ls.ce_loss(tape.leaf([[math.log(3.0), 0.0]]), [0])
+        node = ce_of(tape.leaf([[math.log(3.0), 0.0]]), [0])
         assert abs(node.item() - CE_LOG3_LABEL0) <= 1e-15
 
     def test_uniform_logits_give_log_c(self):
         tape = ad.Tape()
-        node = ls.ce_loss(tape.leaf(np.zeros((3, 4))), [0, 2, 3])
+        node = ce_of(tape.leaf(np.zeros((3, 4))), [0, 2, 3])
         assert abs(node.item() - LOG4) <= 1e-12
 
     def test_confident_correct_prediction_vanishes(self):
         logits = np.array([[60.0, -60.0, -60.0], [-60.0, 60.0, -60.0]])
         tape = ad.Tape()
-        node = ls.ce_loss(tape.leaf(logits), [0, 1])
+        node = ce_of(tape.leaf(logits), [0, 1])
         assert node.item() <= 1e-12
 
     def test_label_out_of_range_rejected(self):
         tape = ad.Tape()
         with pytest.raises(ValueError):
-            ls.ce_loss(tape.leaf(np.zeros((2, 3))), [0, 3])
+            ce_of(tape.leaf(np.zeros((2, 3))), [0, 3])
 
     def test_rank_one_logits_rejected(self):
         tape = ad.Tape()
         with pytest.raises(ad.ShapeError):
-            ls.ce_loss(tape.leaf([1.0, 2.0]), [0])
+            ce_of(tape.leaf([1.0, 2.0]), [0])
 
     def test_gradient_is_probs_minus_onehot_over_n(self):
         rng = np.random.default_rng(3)
@@ -194,7 +201,7 @@ class TestCeLoss:
         labels = rng.integers(0, 7, size=5)
         tape = ad.Tape()
         leaf = tape.leaf(z)
-        node = ls.ce_loss(leaf, labels)
+        node = ce_of(leaf, labels)
         ad.backward(tape, node)
         expected = softmax_rows(z)
         expected[np.arange(5), labels] -= 1.0
@@ -249,7 +256,7 @@ class TestL3cm:
 
     def test_empty_batch_signals_term_inactive(self):
         tape = ad.Tape()
-        with pytest.raises(ls.TermInactive):
+        with pytest.raises(ValueError, match="no unknown-cluster points"):
             ls.l3cm(tape.leaf(np.zeros((0, 3))), ls.EmaAggregate.uniform(3, 0.9))
 
     def test_dimension_mismatch_rejected(self):
@@ -331,8 +338,10 @@ class TestTotalObjective:
         cfg = ls.TrainConfig(lambda_=0.0, unknown_label=1)
         tape = ad.Tape()
         obj = ls.total_objective(tape.leaf(self.logits), self.labels, self.agg(), cfg)
+        # the cross-entropy node does not depend on the term's weight
+        cfg_on = ls.TrainConfig(lambda_=0.5, unknown_label=1)
         tape2 = ad.Tape()
-        ce = ls.ce_loss(tape2.leaf(self.logits), self.labels)
+        ce = ls.total_objective(tape2.leaf(self.logits), self.labels, self.agg(), cfg_on).ce
         assert obj.total.item() == ce.item()
 
     def test_no_unknown_points_total_is_ce_node(self):

@@ -1,4 +1,4 @@
-"""Tests for IoU metrics, grouped accuracy, and report aggregation."""
+"""Tests for IoU metrics and report aggregation."""
 
 import json
 
@@ -98,31 +98,6 @@ class TestCategoryMiou:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mt.category_miou([])
-
-
-class TestGroupedAccuracy:
-    def test_all_correct(self):
-        assert mt.grouped_accuracy([0, 1, 5], [0, 1, 5], {0, 1}) == (1.0, 1.0)
-
-    def test_seen_right_unseen_wrong(self):
-        assert mt.grouped_accuracy([0, 1, 9, 9], [0, 1, 5, 6], {0, 1}) == (1.0, 0.0)
-
-    def test_hand_counted_fixture(self):
-        pred = [0, 1, 1, 2, 3, 9]
-        gt = [0, 1, 1, 1, 3, 4]
-        assert mt.grouped_accuracy(pred, gt, {0, 1, 2}) == (0.75, 0.5)
-
-    def test_empty_group_yields_none(self):
-        seen_acc, unseen_acc = mt.grouped_accuracy([0, 0], [0, 0], {0})
-        assert seen_acc == 1.0
-        assert unseen_acc is None
-        seen_acc, unseen_acc = mt.grouped_accuracy([5, 5], [5, 5], {0})
-        assert seen_acc is None
-        assert unseen_acc == 1.0
-
-    def test_empty_seen_set_rejected(self):
-        with pytest.raises(ValueError):
-            mt.grouped_accuracy([0], [0], set())
 
 
 class TestReport:

@@ -17,9 +17,23 @@ def random_cloud(rng, n=32, scale=1.0):
 def identity_mlp_params(n_classes=2):
     """3-wide identity encoder: features equal coordinates on nonneg input."""
     params = md.init_params(n_classes, seed=0, in_dim=3, hidden=(3, 3))
-    params.mlp_w = [np.eye(3), np.eye(3)]
-    params.mlp_b = [np.zeros(3), np.zeros(3)]
+    for w, b in zip(params.mlp_w, params.mlp_b):
+        w[...] = np.eye(3)
+        b[...] = 0.0
     return params
+
+
+def ce_step(params, cloud, labels, lr):
+    """One training step on cross-entropy alone, through the flat buffer."""
+    tape = ad.Tape()
+    leaf = tape.leaf(params.flat)
+    nodes = md.nodes_from_vector(tape, leaf, params)
+    logits = md.build_seg_logits(tape, nodes, tape.constant(cloud), 1, len(cloud))
+    agg = ls.EmaAggregate.uniform(params.n_classes, 0.995)
+    ce = ls.total_objective(logits, labels, agg, ls.TrainConfig(lambda_=0.0, unknown_label=0)).ce
+    ad.backward(tape, ce)
+    params.flat -= lr * leaf.grad
+    return ce.item()
 
 
 class TestModelParams:
@@ -48,6 +62,35 @@ class TestModelParams:
         clone.seg_b[0] += 1.0
         assert params.mlp_w[0][0, 0] != clone.mlp_w[0][0, 0]
         assert params.seg_b[0] != clone.seg_b[0]
+
+    def test_arrays_are_views_of_flat(self, tmp_path):
+        params = md.init_params(3, seed=2)
+        md.save_params(params, tmp_path / "weights.txt")
+        made = {
+            "init_params": params,
+            "expand_head": md.expand_head(params, remove_col=0, add_k=2),
+            "load_params": md.load_params(tmp_path / "weights.txt"),
+            "copy": params.copy(),
+        }
+        for how, p in made.items():
+            assert p.flat.size == sum(arr.size for arr in p.all_arrays()), how
+            for arr in p.all_arrays():
+                assert np.shares_memory(arr, p.flat), how
+            assert np.array_equal(p.flat, md.params_vector(p)), how
+        for how in ("expand_head", "load_params", "copy"):
+            assert not np.shares_memory(made[how].flat, params.flat), how
+
+    def test_flat_step_is_visible_to_segment_logits(self):
+        params = md.init_params(3, seed=5)
+        cloud = random_cloud(np.random.default_rng(6), 10)
+        before = md.segment_logits(cloud, params)
+        step = np.random.default_rng(7).normal(0.0, 0.01, params.flat.size)
+        expected = params.flat - step
+        params.flat -= step
+        after = md.segment_logits(cloud, params)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(md.params_vector(params), expected)
+        assert np.array_equal(after, md.segment_logits(cloud, params.copy()))
 
 
 class TestInitParams:
@@ -131,8 +174,8 @@ class TestSegmentLogits:
 
     def test_zero_head_gives_uniform_distributions(self):
         params = md.init_params(3, seed=1)
-        params.seg_w = np.zeros_like(params.seg_w)
-        params.seg_b = np.zeros_like(params.seg_b)
+        params.seg_w[...] = 0.0
+        params.seg_b[...] = 0.0
         logits = md.segment_logits(random_cloud(np.random.default_rng(2), 9), params)
         assert np.all(logits == 0.0)
         # softmax of a zero row is exactly uniform
@@ -159,8 +202,8 @@ class TestClassifyLogits:
 
     def test_zero_head_gives_zero_logits(self):
         params = md.init_params(3, seed=1)
-        params.cls_w = np.zeros_like(params.cls_w)
-        params.cls_b = np.zeros_like(params.cls_b)
+        params.cls_w[...] = 0.0
+        params.cls_b[...] = 0.0
         logits = md.classify_logits(random_cloud(np.random.default_rng(2), 9), params)
         assert np.all(logits == 0.0)
 
@@ -293,7 +336,7 @@ class TestTrainingGraph:
         rng = np.random.default_rng(3)
         clouds = [random_cloud(rng, 16) for _ in range(2)]
         tape = ad.Tape()
-        nodes = md.params_to_nodes(tape, params)
+        nodes = md.nodes_from_vector(tape, tape.leaf(params.flat), params)
         pts = tape.constant(np.vstack(clouds))
         logits = md.build_seg_logits(tape, nodes, pts, batch=2, n_points=16).array
         for i, cloud in enumerate(clouds):
@@ -303,42 +346,33 @@ class TestTrainingGraph:
 
     def test_vector_carving_matches_leaf_nodes(self):
         params = self.tiny()
-        cloud = random_cloud(np.random.default_rng(4), 8)
         tape = ad.Tape()
-        nodes = md.params_to_nodes(tape, params)
-        a = md.build_seg_logits(tape, nodes, tape.constant(cloud), 1, 8).array
-        tape2 = ad.Tape()
-        carved = md.nodes_from_vector(tape2, tape2.leaf(md.params_vector(params)), params)
-        b = md.build_seg_logits(tape2, carved, tape2.constant(cloud), 1, 8).array
-        assert np.array_equal(a, b)
+        nodes = md.nodes_from_vector(tape, tape.leaf(params.flat), params)
+        for node, arr in zip([*nodes.mlp_w, *nodes.mlp_b], [*params.mlp_w, *params.mlp_b]):
+            assert np.array_equal(node.array, arr)
+        f = params.feature_dim
+        assert np.array_equal(nodes.seg_top.array, params.seg_w[:f])
+        assert np.array_equal(nodes.seg_bottom.array, params.seg_w[f:])
+        assert np.array_equal(nodes.seg_b.array, params.seg_b)
+        with pytest.raises(ad.ShapeError):
+            md.nodes_from_vector(tape, tape.leaf(params.flat[:-1]), params)
 
     def test_sgd_reduces_cross_entropy(self):
         params = self.tiny()
         rng = np.random.default_rng(17)
         cloud = random_cloud(rng, 12)
         labels = rng.integers(0, 3, 12)
-        history = []
-        for _ in range(30):
-            tape = ad.Tape()
-            nodes = md.params_to_nodes(tape, params)
-            logits = md.build_seg_logits(tape, nodes, tape.constant(cloud), 1, 12)
-            ce = ls.ce_loss(logits, labels)
-            history.append(ce.item())
-            ad.backward(tape, ce)
-            md.apply_sgd_step(params, nodes, lr=0.5)
+        history = [ce_step(params, cloud, labels, lr=0.5) for _ in range(30)]
         assert history[-1] < history[0] - 0.05
         assert math.isfinite(history[-1])
 
     def test_untouched_head_gets_no_update(self):
         params = self.tiny()
-        before = params.cls_w.copy()
+        cls_w, cls_b = params.cls_w.copy(), params.cls_b.copy()
         cloud = random_cloud(np.random.default_rng(2), 6)
-        tape = ad.Tape()
-        nodes = md.params_to_nodes(tape, params)
-        logits = md.build_seg_logits(tape, nodes, tape.constant(cloud), 1, 6)
-        ad.backward(tape, ls.ce_loss(logits, np.zeros(6, dtype=int)))
-        md.apply_sgd_step(params, nodes, lr=0.5)
-        assert np.array_equal(params.cls_w, before)
+        ce_step(params, cloud, np.zeros(6, dtype=int), lr=0.5)
+        assert params.cls_w.tobytes() == cls_w.tobytes()
+        assert params.cls_b.tobytes() == cls_b.tobytes()
         assert not np.array_equal(params.seg_w, md.init_params(3, seed=21, hidden=(4, 5)).seg_w)
 
     def test_objective_gradient_through_model(self):
