@@ -13,6 +13,13 @@ ownership of the array on first write; a closure may pass the incoming
 gradient array itself to at most one parent (later in-place accumulation
 into it only ever mutates buffers of nodes already swept).
 
+Only leaves carry gradient: `Tape.leaf` makes a node that requires one,
+`Tape.constant` one that does not, and a derived node requires one when
+any parent does. Backward closures skip the contributions of parents that
+need none (`_accum` drops them, and the products behind `linear`, `matmul`
+and `multiply` are not computed), so a constant's `_grad` stays None and
+its `grad` reads as zeros.
+
 Lifetime: a tape holds its nodes (`Tape.nodes`), but a node holds its tape
 only weakly, so the two never form a reference cycle. The caller keeps the
 tape alive, in a local, while it builds and sweeps; once the last reference
@@ -70,7 +77,9 @@ class TensorNode:
     the tape has been dropped.
     """
 
-    __slots__ = ("_tape_ref", "shape", "values", "_grad", "parents", "_backward")
+    __slots__ = (
+        "_tape_ref", "shape", "values", "_grad", "parents", "_backward", "requires_grad"
+    )
 
     def __init__(
         self,
@@ -79,6 +88,7 @@ class TensorNode:
         values: np.ndarray,
         parents: tuple["TensorNode", ...] = (),
         backward_fn: Callable[[np.ndarray], None] | None = None,
+        requires_grad: bool | None = None,
     ):
         self._tape_ref = weakref.ref(tape)
         self.shape = shape
@@ -86,6 +96,13 @@ class TensorNode:
         self._grad: np.ndarray | None = None
         self.parents = parents
         self._backward = backward_fn
+        if requires_grad is None:  # derived: required when any parent's gradient is
+            requires_grad = False
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         tape.nodes.append(self)
 
     @property
@@ -121,14 +138,17 @@ class Tape:
 
     def leaf(self, values) -> TensorNode:
         arr = np.asarray(values, dtype=float)
-        return TensorNode(self, arr.shape, arr.ravel().copy())
+        return TensorNode(self, arr.shape, arr.ravel().copy(), requires_grad=True)
 
     def constant(self, values) -> TensorNode:
-        """Same as leaf; named for call-site intent (no one reads its grad)."""
-        return self.leaf(values)
+        """Like `leaf`, but carries no gradient: backward never writes its grad."""
+        arr = np.asarray(values, dtype=float)
+        return TensorNode(self, arr.shape, arr.ravel().copy(), requires_grad=False)
 
 
 def _accum(node: TensorNode, contrib: np.ndarray) -> None:
+    if not node.requires_grad:
+        return
     if node._grad is None:
         node._grad = contrib
     else:
@@ -199,7 +219,8 @@ def multiply(a: TensorNode, b) -> TensorNode:
 
     def backward_fn(g: np.ndarray) -> None:
         _accum(a, g * b.values[0])
-        _accum(b, np.array([float(g @ a.values)]))
+        if b.requires_grad:
+            _accum(b, np.array([float(g @ a.values)]))
 
     return TensorNode(tape, a.shape, out, (a, b), backward_fn)
 
@@ -215,8 +236,10 @@ def matmul(a: TensorNode, b: TensorNode) -> TensorNode:
 
     def backward_fn(g: np.ndarray) -> None:
         gm = g.reshape(out.shape)
-        _accum(a, (gm @ bm.T).ravel())
-        _accum(b, (am.T @ gm).ravel())
+        if a.requires_grad:
+            _accum(a, (gm @ bm.T).ravel())
+        if b.requires_grad:
+            _accum(b, (am.T @ gm).ravel())
 
     return TensorNode(tape, out.shape, out.ravel(), (a, b), backward_fn)
 
@@ -234,9 +257,12 @@ def linear(x: TensorNode, w: TensorNode, b: TensorNode) -> TensorNode:
 
     def backward_fn(g: np.ndarray) -> None:
         gm = g.reshape(out.shape)
-        _accum(b, gm.sum(axis=0))
-        _accum(x, (gm @ wm.T).ravel())
-        _accum(w, (xm.T @ gm).ravel())
+        if b.requires_grad:
+            _accum(b, gm.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, (gm @ wm.T).ravel())
+        if w.requires_grad:
+            _accum(w, (xm.T @ gm).ravel())
 
     return TensorNode(tape, out.shape, out.ravel(), (x, w, b), backward_fn)
 
@@ -293,18 +319,20 @@ def max_reduce(x: TensorNode, axis: int) -> TensorNode:
     if not -len(x.shape) <= axis < len(x.shape):
         raise ShapeError(f"max_reduce: axis {axis} out of range for {x.shape}")
     axis = axis % len(x.shape)
-    arr = x.array
-    out = arr.max(axis=axis)
-    idx = arr.argmax(axis=axis)  # first occurrence = lowest index
+    n = x.shape[axis]
+    pre, post = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1 :])
+    # one argmax pass (first occurrence = lowest index; NaN wins), then the
+    # winners' flat indices in x.values serve both the gather and the scatter
+    idx = x.values.reshape(pre, n, post).argmax(axis=1)
+    flat = ((np.arange(pre)[:, None] * n + idx) * post + np.arange(post)).ravel()
 
     def backward_fn(g: np.ndarray) -> None:
-        routed = np.zeros(x.shape)
-        np.put_along_axis(
-            routed, np.expand_dims(idx, axis), np.expand_dims(g.reshape(out.shape), axis), axis
-        )
-        _accum(x, routed.ravel())
+        routed = np.zeros(x.values.size)
+        routed[flat] = g
+        _accum(x, routed)
 
-    return TensorNode(x.tape, out.shape, out.ravel(), (x,), backward_fn)
+    shape = x.shape[:axis] + x.shape[axis + 1 :]
+    return TensorNode(x.tape, shape, x.values[flat], (x,), backward_fn)
 
 
 def concat(parts: Sequence[TensorNode], axis: int) -> TensorNode:
@@ -449,7 +477,8 @@ def backward(tape: Tape, output: TensorNode) -> None:
     """Fill grads of every node on the tape with d(output)/d(node).
 
     Repeated calls restart from zero rather than accumulating. Nodes the
-    output does not depend on keep zero gradients and are skipped.
+    output does not depend on, and nodes that require no gradient, keep
+    zero gradients and are skipped.
     """
     if output.tape is not tape:
         raise ValueError("output node does not belong to this tape")
@@ -461,7 +490,7 @@ def backward(tape: Tape, output: TensorNode) -> None:
     tape._swept = True
     output._grad = np.ones(1)
     for node in reversed(tape.nodes):
-        if node._backward is not None and node._grad is not None:
+        if node._backward is not None and node._grad is not None and node.requires_grad:
             node._backward(node._grad)
 
 

@@ -5,7 +5,8 @@ export-curves. Runs are configured by a flat key=value text file plus
 key=value overrides on the command line; `OPENSET3CM_SEED` in the
 environment beats both. Exit codes: 0 success, 2 error in the config, the
 data, a checkpoint or a file written (the message names the file and line
-where it can), 3 diverged run (single-run subcommands only).
+where it can), 3 diverged run (single-run subcommands only). Every command
+runs with OpenBLAS on one thread (`harness._one_blas_thread`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ def _read_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise dt._not_utf8(path) from None
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
@@ -167,6 +170,8 @@ def _cmd_export_curves(args) -> int:
     try:
         with open(args.record, "r", encoding="utf-8") as fh:
             record = hz.record_from_json(fh.read())
+    except UnicodeDecodeError:
+        raise dt._not_utf8(args.record) from None
     except OSError as exc:
         raise ValueError(f"cannot read record {args.record}: {exc}") from exc
     except (json.JSONDecodeError, KeyError) as exc:
@@ -243,7 +248,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with hz._one_blas_thread():
+            return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -335,6 +336,19 @@ class OpenSetDataset:
     def phase2_label_map(self) -> dict:
         return {orig: col for col, orig in enumerate(self.phase2_column_manifest())}
 
+    def phase2_label_lookup(self) -> np.ndarray:
+        """`phase2_label_map` as an int64 array indexed by original label."""
+        return _lookup_array(self.phase2_label_map())
+
+
+def _lookup_array(mapping: dict) -> np.ndarray:
+    """int64 array ``a`` with ``a[k] == mapping[k]`` for every (nonnegative)
+    key and -1 elsewhere: ``a[labels]`` remaps a whole label array at once."""
+    keys = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
+    out = np.full(int(keys.max()) + 1, -1, dtype=np.int64)
+    out[keys] = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
+    return out
+
 
 def _deal_split(categories: Sequence[int], test_fraction: float = 0.2) -> list:
     """The split rule: (ordinal within category, is_test) per shape, in order.
@@ -367,7 +381,10 @@ def build_openset_split(
         raise ValueError("empty corpus")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must sit strictly between 0 and 1")
-    all_labels = sorted({int(l) for c in clouds for l in np.unique(c.part_labels)})
+    corpus_labels = np.concatenate([c.part_labels for c in clouds])
+    if corpus_labels.size and corpus_labels.min() < 0:
+        raise ValueError("part labels must be nonnegative")
+    all_labels = np.flatnonzero(np.bincount(corpus_labels)).tolist()
     unknown = sorted(int(u) for u in unknown_source_classes)
     if not unknown:
         raise ValueError("unknown_source_classes must be nonempty")
@@ -384,9 +401,10 @@ def build_openset_split(
     train_s = [c for c, (_, is_test) in zip(clouds, deal) if not is_test]
     test_s = [c for c, (_, is_test) in zip(clouds, deal) if is_test]
 
+    lookup = _lookup_array(label_map)
+
     def remap(cloud: LabeledCloud) -> LabeledCloud:
-        mapped = np.array([label_map[int(l)] for l in cloud.part_labels], dtype=np.int64)
-        return LabeledCloud(cloud.points, mapped, cloud.category, cloud.seed)
+        return LabeledCloud(cloud.points, lookup[cloud.part_labels], cloud.category, cloud.seed)
 
     return OpenSetDataset(
         train=[remap(c) for c in train_s],
@@ -407,6 +425,20 @@ def build_openset_split(
 _HEADER_RE = re.compile(r"^#pcd v1 n=(\d+) category=(\d+)$")
 
 
+def _not_utf8(path) -> ValueError:
+    """The error for a text file that failed to decode, naming ``path:line``
+    of its first byte that is not UTF-8."""
+    try:
+        raw = Path(path).read_bytes()
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    except OSError:
+        pass
+    return ValueError(f"{path}: not UTF-8 text")
+
+
 def write_cloud(cloud: LabeledCloud, path) -> None:
     cloud.validate()
     lines = [f"#pcd v1 n={cloud.n_points} category={cloud.category}"]
@@ -417,8 +449,11 @@ def write_cloud(cloud: LabeledCloud, path) -> None:
 
 
 def read_cloud(path) -> LabeledCloud:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not lines:
         raise ValueError(f"{path}:1: empty file")
     m = _HEADER_RE.match(lines[0])
@@ -449,7 +484,10 @@ def read_cloud(path) -> LabeledCloud:
         if lines[extra].strip():
             raise ValueError(f"{path}:{extra + 1}: trailing content after {n} points")
     cloud = LabeledCloud(pts, labels, category, seed=-1)
-    cloud.validate()
+    try:
+        cloud.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return cloud
 
 
@@ -459,8 +497,6 @@ def write_corpus_dir(clouds: Sequence[LabeledCloud], out_dir) -> None:
     The split column follows `_deal_split` at the default fraction, the
     rule `load_corpus_dir` checks it against.
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -478,18 +514,20 @@ def load_corpus_dir(corpus_dir) -> list:
     (`_deal_split` at the default fraction), which `build_openset_split`
     applies to the loaded clouds; a disagreeing row raises ValueError.
     """
-    from pathlib import Path
-
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise ValueError(f"{manifest}: missing manifest")
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(manifest) from None
     rows = []
-    for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         tokens = line.split()
-        if len(tokens) != 3 or not tokens[1].isdigit() or tokens[2] not in ("train", "test"):
+        if len(tokens) != 3 or not tokens[1].isdecimal() or tokens[2] not in ("train", "test"):
             raise ValueError(f"{manifest}:{lineno}: expected 'path category split'")
         rows.append((lineno, tokens[0], int(tokens[1]), tokens[2]))
     if not rows:

@@ -16,6 +16,8 @@ training progress at all is marked "degraded".
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import json
 import math
@@ -224,6 +226,71 @@ def record_from_json(text: str) -> RunRecord:
 
 
 # ---------------------------------------------------------------------------
+# BLAS threading
+# ---------------------------------------------------------------------------
+
+# (get, set) thread-count entry points, in lookup order: the scipy-openblas
+# build that NumPy wheels bundle, then plain and 64-bit-suffixed OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+def _openblas_thread_calls():
+    """The loaded OpenBLAS's (get, set) thread-count functions, or None.
+
+    Finds the library among the process's mapped files, so it names the
+    copy NumPy actually calls; None when none is mapped, no candidate
+    exports a get/set pair, or ``/proc`` is unreadable.
+    """
+    try:
+        with open("/proc/self/maps", "rb") as fh:
+            libs = sorted(
+                {os.fsdecode(ln.split()[-1]) for ln in fh if b"openblas" in ln and b".so" in ln}
+            )
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get_fn = getattr(handle, get_name, None)
+            set_fn = getattr(handle, set_name, None)
+            if get_fn is not None and set_fn is not None:
+                get_fn.restype, get_fn.argtypes = ctypes.c_int, []
+                set_fn.restype, set_fn.argtypes = None, [ctypes.c_int]
+                return get_fn, set_fn
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread; restore the count after.
+
+    The largest product here, (2048 x 64) . (64 x 64), gains no wall time
+    from a second thread, which only spin-waits between calls. OpenBLAS
+    splits a product over output blocks, never over the inner dimension,
+    so results do not depend on the thread count. Does nothing when no
+    OpenBLAS is loaded.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get_fn, set_fn = calls
+    before = get_fn()
+    set_fn(1)
+    try:
+        yield
+    finally:
+        set_fn(before)
+
+
+# ---------------------------------------------------------------------------
 # training internals
 # ---------------------------------------------------------------------------
 
@@ -417,11 +484,8 @@ def run_openset(config: RunConfig, clouds=None) -> RunRecord:
     )
     record.column_manifest = ds.phase2_column_manifest()
 
-    phase2_map = ds.phase2_label_map()
-    labels2 = [
-        np.array([phase2_map[int(l)] for l in c.part_labels], dtype=np.int64)
-        for c in ds.train_source
-    ]
+    phase2_lookup = ds.phase2_label_lookup()
+    labels2 = [phase2_lookup[c.part_labels] for c in ds.train_source]
     n_phase2 = len(record.column_manifest)
     # no point carries label n_phase2: the term keys on the merged cluster,
     # which no longer exists after surgery

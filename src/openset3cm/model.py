@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from .data import _not_utf8
 
 __all__ = [
     "ModelParams",
@@ -274,12 +275,15 @@ def load_params(path) -> ModelParams:
 
     A malformed or truncated file raises ValueError naming ``path:line``.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not lines or lines[0] != _CKPT_HEADER:
         raise ValueError(f"{path}:1: not a v1 parameter checkpoint")
     head = lines[1].split() if len(lines) > 1 else []
-    if len(head) != 2 or head[0] != "layers" or not head[1].isdigit():
+    if len(head) != 2 or head[0] != "layers" or not head[1].isdecimal():
         raise ValueError(f"{path}:2: missing layer count")
     n_layers = int(head[1])
     tensors: dict[str, np.ndarray] = {}
@@ -290,7 +294,7 @@ def load_params(path) -> ModelParams:
             continue
         head = lines[i].split()
         if head[:1] != ["tensor"] or len(head) not in (3, 4) or not all(
-            tok.isdigit() for tok in head[2:]
+            tok.isdecimal() for tok in head[2:]
         ):
             raise ValueError(f"{path}:{i + 1}: expected a tensor block")
         name, shape = head[1], tuple(int(s) for s in head[2:])

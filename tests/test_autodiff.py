@@ -152,6 +152,78 @@ class TestBackward:
         np.testing.assert_array_equal(g1, g2)
 
 
+def max_reduce_reference(arr, axis, g):
+    """The two-reduction forward and put_along_axis backward max_reduce
+    replaced: (values, gradient of sum(g * values))."""
+    out = arr.max(axis=axis)
+    idx = arr.argmax(axis=axis)
+    routed = np.zeros(arr.shape)
+    np.put_along_axis(routed, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
+    return out, routed.ravel()
+
+
+class TestMaxReduceOnePass:
+    CASES = [((8, 16, 6), 1), ((5, 7), 0), ((5, 7), 1), ((3, 4, 5), 0), ((3, 4, 5), 2), ((9,), 0)]
+
+    @staticmethod
+    def one_pass(arr, axis, g):
+        t = ad.Tape()
+        x = t.leaf(arr)
+        y = ad.max_reduce(x, axis)
+        ad.backward(t, ad.sum_all(ad.multiply(y, t.constant(g))))
+        return y.array, x.grad
+
+    @pytest.mark.parametrize("shape,axis", CASES)
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "nan"])
+    def test_bitwise_equal_to_reference(self, shape, axis, kind):
+        rng = np.random.default_rng([*shape, axis, len(kind)])
+        if kind == "distinct":
+            arr = rng.normal(size=shape)
+        else:  # few distinct values, so most maxima are tied
+            arr = rng.integers(0, 3, size=shape).astype(float)
+        if kind == "nan":
+            arr.flat[rng.integers(arr.size)] = np.nan
+        g = rng.normal(size=np.delete(shape, axis))
+        ref_values, ref_grad = max_reduce_reference(arr, axis, g)
+        values, grad = self.one_pass(arr, axis, g)
+        assert values.tobytes() == ref_values.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_tie_goes_to_lowest_index_and_nan_wins(self):
+        arr = np.array([[1.0, 4.0, 4.0, 2.0], [np.nan, 5.0, np.nan, 5.0]])
+        values, grad = self.one_pass(arr, 1, np.array([1.0, 2.0]))
+        assert values[0] == 4.0 and np.isnan(values[1])
+        np.testing.assert_array_equal(grad, [0, 1, 0, 0, 2, 0, 0, 0])
+
+
+class TestRequiresGrad:
+    def test_flags(self):
+        t = ad.Tape()
+        x, c = t.leaf([1.0, 2.0]), t.constant([3.0, 4.0])
+        assert x.requires_grad and not c.requires_grad
+        assert ad.add(x, c).requires_grad
+        assert not ad.relu(c).requires_grad
+        assert not ad.multiply(c, 2.0).requires_grad
+
+    def test_constants_keep_no_gradient(self):
+        t = ad.Tape()
+        x = t.constant([[1.0, -2.0], [0.5, 3.0]])
+        w = t.leaf([[0.3, -0.1], [0.2, 0.4]])
+        b = t.constant([0.1, 0.2])
+        lq = t.constant([[0.5], [-1.0]])
+        h = ad.relu(ad.linear(x, w, b))
+        out = ad.multiply(ad.sum_all(ad.matmul(h, lq)), 3.0)
+        ad.backward(t, out)
+        for node in t.nodes:
+            if not node.requires_grad:
+                assert node._grad is None
+        np.testing.assert_array_equal(x.grad, np.zeros(4))
+        # d out / d w: 3 * x^T (mask * lq^T)
+        mask = (np.array([[1.0, -2.0], [0.5, 3.0]]) @ w.array + [0.1, 0.2]) > 0
+        expected = 3.0 * np.array([[1.0, -2.0], [0.5, 3.0]]).T @ (mask * [0.5, -1.0])
+        np.testing.assert_allclose(w.grad.reshape(2, 2), expected, rtol=1e-15)
+
+
 class TestLifetime:
     def test_swept_tape_is_freed_by_refcounting(self):
         gc.disable()

@@ -1,6 +1,9 @@
 """Subcommand behavior, config plumbing, exit codes. All in-process."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -212,3 +215,67 @@ class TestExportCurves:
             ["export-curves", "--record", str(bad), "--out", str(tmp_path / "c.csv")]
         )
         assert rc == cli.EXIT_CONFIG
+
+
+def _ok_record(config):
+    return hz.RunRecord(config=config.to_dict(), seed=config.seed, status="ok")
+
+
+class TestBlasThreadPin:
+    """Every command runs with OpenBLAS on one thread and leaves the
+    caller's count as it found it."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        calls = hz._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS loaded")
+        get_fn, set_fn = calls
+        before = get_fn()
+        set_fn(2)  # a count the pin must change and then restore
+        yield get_fn
+        set_fn(before)
+
+    def test_command_runs_on_one_thread(self, blas_threads, monkeypatch):
+        seen = []
+
+        def fake_run_openset(config):
+            seen.append(blas_threads())
+            return _ok_record(config)
+
+        monkeypatch.setattr(hz, "run_openset", fake_run_openset)
+        assert cli.main(["openset"] + TINY_ARGS) == cli.EXIT_OK
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_count_restored_after_config_error(self, blas_threads):
+        assert cli.main(["openset", "beta=1.5"] + TINY_ARGS) == cli.EXIT_CONFIG
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("hide", ["library", "symbols"])
+    def test_runs_without_openblas(self, hide, monkeypatch):
+        if hide == "library":
+            monkeypatch.setattr(hz, "_openblas_thread_calls", lambda: None)
+        else:
+            monkeypatch.setattr(hz, "_OPENBLAS_THREAD_SYMBOLS", ())
+            assert hz._openblas_thread_calls() is None
+        monkeypatch.setattr(hz, "run_openset", _ok_record)
+        assert cli.main(["openset"] + TINY_ARGS) == cli.EXIT_OK
+
+    def test_import_opens_nothing_and_loads_no_library(self):
+        # numpy first: its own import maps OpenBLAS; the package's must not
+        probe = (
+            "import sys, numpy\n"
+            "events = []\n"
+            "sys.addaudithook(lambda e, a: events.append((e, a[0])) "
+            "if e in ('open', 'ctypes.dlopen') else None)\n"
+            "import openset3cm.cli\n"
+            "bad = [(e, a) for e, a in events if e == 'ctypes.dlopen' or "
+            "not str(a).endswith(('.py', '.pyc'))]\n"
+            "print(bad)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "[]"

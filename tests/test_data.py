@@ -182,6 +182,45 @@ class TestOpenSetSplit:
             dt.build_openset_split([], {1})
 
 
+class TestVectorRemap:
+    """The lookup-array remaps against the per-point dict loops they replaced."""
+
+    @staticmethod
+    def assert_matches_dict_loops(clouds, unknown):
+        ds = dt.build_openset_split(clouds, unknown)
+        all_labels = sorted({int(l) for c in clouds for l in np.unique(c.part_labels)})
+        assert sorted(ds.known_classes + ds.unknown_source_classes) == all_labels
+        for remapped, source in zip(ds.train + ds.test, ds.train_source + ds.test_source):
+            expected = np.array([ds.label_map[int(l)] for l in source.part_labels], dtype=np.int64)
+            assert remapped.part_labels.dtype == np.int64
+            assert np.array_equal(remapped.part_labels, expected)
+        phase2_map, lookup = ds.phase2_label_map(), ds.phase2_label_lookup()
+        for source in ds.train_source + ds.test_source:
+            expected = np.array([phase2_map[int(l)] for l in source.part_labels], dtype=np.int64)
+            got = lookup[source.part_labels]
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+    def test_generated_corpus(self):
+        corpus = dt.generate_corpus(10, 64, seed=3)
+        for cats in ([4, 5, 6, 7], [0, 6], [7]):
+            self.assert_matches_dict_loops(corpus, dt.labels_for_categories(cats))
+
+    def test_corpus_read_from_disk(self, tmp_path):
+        dt.write_corpus_dir(dt.generate_corpus(5, 32, seed=4), tmp_path / "c")
+        corpus = dt.load_corpus_dir(tmp_path / "c")
+        self.assert_matches_dict_loops(corpus, dt.labels_for_categories([4, 5, 6, 7]))
+
+    def test_sparse_label_set(self):
+        # labels with gaps: the lookup array must leave the gaps unused
+        clouds = [tiny_cloud([3, 9, 9, 14, 20]), tiny_cloud([20, 3], category=1)]
+        self.assert_matches_dict_loops(clouds, {9, 20})
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dt.build_openset_split([tiny_cloud([0, -1, 2])], {2})
+
+
 class TestCloudIO:
     def test_round_trip_exact(self, tmp_path):
         cloud = dt.generate_shape(2, 100, seed=6)
@@ -294,3 +333,11 @@ class TestCorpusDir:
         manifest.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=r"manifest\.txt:2: split 'test' disagrees"):
             dt.load_corpus_dir(tmp_path / "c")
+
+    def test_undecodable_manifest_names_path_and_line(self, tmp_path):
+        dt.write_corpus_dir(dt.generate_corpus(1, 16, seed=2, categories=[0]), tmp_path / "c")
+        manifest = tmp_path / "c" / "manifest.txt"
+        manifest.write_bytes(b"\n" + manifest.read_bytes().replace(b"shape", b"sh\xffpe"))
+        with pytest.raises(ValueError) as info:
+            dt.load_corpus_dir(tmp_path / "c")
+        assert str(info.value).startswith(f"{manifest}:2: not UTF-8 text")

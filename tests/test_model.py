@@ -366,6 +366,33 @@ class TestTrainingGraph:
         assert history[-1] < history[0] - 0.05
         assert math.isfinite(history[-1])
 
+    def test_step_leaves_constants_without_gradient(self):
+        params = self.tiny()
+        rng = np.random.default_rng(8)
+        cloud, labels = random_cloud(rng, 16), rng.integers(0, 3, 16)
+        cfg = ls.TrainConfig(lambda_=0.5, unknown_label=2)
+
+        def step(points_need_grad: bool):
+            tape = ad.Tape()
+            leaf = tape.leaf(params.flat)
+            nodes = md.nodes_from_vector(tape, leaf, params)
+            pts = tape.leaf(cloud) if points_need_grad else tape.constant(cloud)
+            logits = md.build_seg_logits(tape, nodes, pts, 1, len(cloud))
+            agg = ls.EmaAggregate.uniform(params.n_classes, 0.995)
+            obj = ls.total_objective(logits, labels, agg, cfg)
+            assert obj.l3cm_term is not None
+            ad.backward(tape, obj.total)
+            return tape, leaf, pts
+
+        tape, leaf, pts = step(points_need_grad=False)
+        assert pts._grad is None
+        assert all(n._grad is None for n in tape.nodes if not n.requires_grad)
+        np.testing.assert_array_equal(pts.grad, np.zeros(cloud.size))
+        # skipping the constants' gradients leaves every other bit alone
+        _, leaf_ref, pts_ref = step(points_need_grad=True)
+        assert np.any(pts_ref.grad != 0.0)
+        assert leaf.grad.tobytes() == leaf_ref.grad.tobytes()
+
     def test_untouched_head_gets_no_update(self):
         params = self.tiny()
         cls_w, cls_b = params.cls_w.copy(), params.cls_b.copy()
