@@ -10,13 +10,24 @@ The open-set protocol merges all part labels of a chosen category subset
 into one training label (the unknown cluster) and compacts the remaining
 labels to a contiguous range; the recorded map is what later evaluation and
 head surgery reason about.
+
+Cloud files are read and written in one pass per file. `write_cloud`
+formats the whole body with one ``%`` format. `read_cloud` splits every
+point line once and converts its tokens with Python's own ``float``/``int``
+(`_parse_rows`, which `model.load_params` shares), then checks finiteness
+and the label range on the whole cloud at once. Only when a check fails
+does it scan the point lines in order, so the error names the first bad
+line and, within it, its first failure: token count, parse, finiteness,
+label range. Trailing content and `LabeledCloud.validate` come after.
+Line numbers count from 1 at the header, as in the file.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -68,7 +79,9 @@ class LabeledCloud:
             raise ValueError("need exactly one part label per point")
         if self.part_labels.min() < 0 or self.part_labels.max() >= N_PART_LABELS:
             raise ValueError(f"part labels must lie in [0, {N_PART_LABELS})")
-        if np.linalg.norm(self.points, axis=1).max() > 1.0 + 1e-9:
+        # the coordinate bound first: past it the norm could overflow
+        bound = 1.0 + 1e-9
+        if np.abs(self.points).max() > bound or np.linalg.norm(self.points, axis=1).max() > bound:
             raise ValueError("points leave the unit sphere")
 
 
@@ -439,13 +452,56 @@ def _not_utf8(path) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text")
 
 
+def _parse_rows(lines: Sequence[str], width: int, last: Callable = float) -> list | None:
+    """Bulk row parse: every line split once into exactly ``width`` tokens.
+
+    Each token is converted by Python's own ``float`` (the last one of each
+    row by ``last``), so every spelling those accept is accepted. Returns the
+    values flattened row by row, or None when a line holds another number of
+    tokens or a token does not convert; the caller then scans line by line
+    for the message that names the line.
+    """
+    rows = [line.split() for line in lines]
+    if any(len(row) != width for row in rows):
+        return None
+    flat = list(chain.from_iterable(rows))
+    try:
+        for j in range(width):  # one conversion pass per column
+            flat[j::width] = map(last if j == width - 1 else float, flat[j::width])
+    except ValueError:
+        return None
+    return flat
+
+
 def write_cloud(cloud: LabeledCloud, path) -> None:
     cloud.validate()
-    lines = [f"#pcd v1 n={cloud.n_points} category={cloud.category}"]
-    for (x, y, z), lbl in zip(cloud.points, cloud.part_labels):
-        lines.append(f"{x:.17g} {y:.17g} {z:.17g} {int(lbl)}")
+    n = cloud.n_points
+    row_major = [
+        v for (x, y, z), lbl in zip(cloud.points.tolist(), cloud.part_labels.tolist())
+        for v in (x, y, z, lbl)
+    ]
+    header = f"#pcd v1 n={n} category={cloud.category}\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "%.17g %.17g %.17g %d\n" * n % tuple(row_major))
+
+
+def _bad_point_line(path, body: Sequence[str]) -> ValueError:
+    """The error for the first point line that fails a check; ``body`` holds
+    the point lines, the first of which is line 2 of the file."""
+    for lineno, line in enumerate(body, 2):
+        tokens = line.split()
+        if len(tokens) != 4:
+            return ValueError(f"{path}:{lineno}: expected 'x y z label', got {line!r}")
+        try:
+            coords = [float(t) for t in tokens[:3]]
+            label = int(tokens[3])
+        except ValueError:
+            return ValueError(f"{path}:{lineno}: unparsable numbers")
+        if not all(map(math.isfinite, coords)):
+            return ValueError(f"{path}:{lineno}: non-finite coordinate")
+        if not 0 <= label < N_PART_LABELS:
+            return ValueError(f"{path}:{lineno}: label {label} outside [0, {N_PART_LABELS})")
+    raise AssertionError("every point line passes its checks")
 
 
 def read_cloud(path) -> LabeledCloud:
@@ -464,26 +520,19 @@ def read_cloud(path) -> LabeledCloud:
         raise ValueError(f"{path}:1: cloud must contain at least one point")
     if len(lines) - 1 < n:
         raise ValueError(f"{path}: expected {n} point lines, found {len(lines) - 1}")
-    pts = np.empty((n, 3))
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        lineno = i + 2
-        tokens = lines[1 + i].split()
-        if len(tokens) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 'x y z label', got {lines[1 + i]!r}")
-        try:
-            pts[i] = [float(t) for t in tokens[:3]]
-            labels[i] = int(tokens[3])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: unparsable numbers") from None
-        if not np.all(np.isfinite(pts[i])):
-            raise ValueError(f"{path}:{lineno}: non-finite coordinate")
-        if not 0 <= labels[i] < N_PART_LABELS:
-            raise ValueError(f"{path}:{lineno}: label {labels[i]} outside [0, {N_PART_LABELS})")
+    body = lines[1 : n + 1]
+    flat = _parse_rows(body, 4, last=int)
+    if flat is None:
+        raise _bad_point_line(path, body)
+    labels = flat[3::4]  # Python ints: range-checked before any int64 conversion
+    del flat[3::4]
+    pts = np.array(flat, dtype=np.float64).reshape(n, 3)
+    if not np.isfinite(pts).all() or min(labels) < 0 or max(labels) >= N_PART_LABELS:
+        raise _bad_point_line(path, body)
     for extra in range(n + 1, len(lines)):
         if lines[extra].strip():
             raise ValueError(f"{path}:{extra + 1}: trailing content after {n} points")
-    cloud = LabeledCloud(pts, labels, category, seed=-1)
+    cloud = LabeledCloud(pts, np.array(labels, dtype=np.int64), category, seed=-1)
     try:
         cloud.validate()
     except ValueError as exc:

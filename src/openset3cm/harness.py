@@ -116,18 +116,28 @@ class RunConfig:
             kind = kinds.get(key)
             if kind is None:
                 raise ValueError(f"unknown config key {raw_key!r}")
-            if kind == "tuple":
-                parts = raw.replace(",", " ").split() if isinstance(raw, str) else raw
-                kwargs[key] = tuple(int(p) for p in parts)
-            elif kind == "bool" and isinstance(raw, str):
+            if kind == "bool" and isinstance(raw, str):
                 if raw not in ("0", "1"):
                     raise ValueError(f"config key {raw_key}: expected 0 or 1, got {raw!r}")
                 kwargs[key] = raw == "1"
-            else:
-                kwargs[key] = _SCALAR_PARSERS[kind](raw)
+                continue
+            try:
+                if kind == "tuple":
+                    parts = raw.replace(",", " ").split() if isinstance(raw, str) else raw
+                    kwargs[key] = tuple(int(p) for p in parts)
+                else:
+                    kwargs[key] = _SCALAR_PARSERS[kind](raw)
+            except ValueError:
+                expected = "integers" if kind == "tuple" else kind
+                raise ValueError(
+                    f"config key {raw_key}: expected {expected}, got {raw!r}"
+                ) from None
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None:
-            kwargs["seed"] = int(env_seed)
+            try:
+                kwargs["seed"] = int(env_seed)
+            except ValueError:
+                raise ValueError(f"{SEED_ENV_VAR}: expected int, got {env_seed!r}") from None
         config = cls(**kwargs)
         config.validate()
         return config

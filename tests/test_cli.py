@@ -72,6 +72,22 @@ class TestConfigPlumbing:
     def test_invalid_value_exit_code(self):
         assert cli.main(["openset", "beta=1.5"] + TINY_ARGS) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("epochs_phase1=abc", "config key epochs_phase1: expected int, got 'abc'"),
+            ("unknown_classes=a,b", "config key unknown_classes: expected integers, got 'a,b'"),
+        ],
+    )
+    def test_unparsable_value_names_key(self, override, message, capsys):
+        assert cli.main(["openset", override]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unparsable_env_seed_names_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv(hz.SEED_ENV_VAR, "x")
+        assert cli.main(["openset"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {hz.SEED_ENV_VAR}: expected int, got 'x'\n"
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

@@ -10,6 +10,10 @@ from openset3cm import cli
 from openset3cm import data as dt
 from openset3cm import model as md
 
+# a numeric warning on the way to a verdict (say, an overflow inside a norm)
+# fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 FUZZ = settings(max_examples=60, deadline=None)
 
 
