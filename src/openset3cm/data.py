@@ -12,14 +12,13 @@ labels to a contiguous range; the recorded map is what later evaluation and
 head surgery reason about.
 
 Cloud files are read and written in one pass per file. `write_cloud`
-formats the whole body with one ``%`` format. `read_cloud` splits every
-point line once and converts its tokens with Python's own ``float``/``int``
-(`_parse_rows`, which `model.load_params` shares), then checks finiteness
-and the label range on the whole cloud at once. Only when a check fails
-does it scan the point lines in order, so the error names the first bad
-line and, within it, its first failure: token count, parse, finiteness,
-label range. Trailing content and `LabeledCloud.validate` come after.
-Line numbers count from 1 at the header, as in the file.
+formats the whole body with one ``%`` format. `read_cloud` makes one Python
+loop over the point lines: each line is split once, its tokens converted by
+Python's own ``float``/``int`` and checked as plain Python numbers (token
+count, parse, finiteness, label range, in that order); NumPy is called only
+when the finished lists become arrays. The first line that fails a check
+raises, naming its own line number (counted from 1 at the header, as in the
+file); trailing content and `LabeledCloud.validate` come after.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -452,27 +450,6 @@ def _not_utf8(path) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text")
 
 
-def _parse_rows(lines: Sequence[str], width: int, last: Callable = float) -> list | None:
-    """Bulk row parse: every line split once into exactly ``width`` tokens.
-
-    Each token is converted by Python's own ``float`` (the last one of each
-    row by ``last``), so every spelling those accept is accepted. Returns the
-    values flattened row by row, or None when a line holds another number of
-    tokens or a token does not convert; the caller then scans line by line
-    for the message that names the line.
-    """
-    rows = [line.split() for line in lines]
-    if any(len(row) != width for row in rows):
-        return None
-    flat = list(chain.from_iterable(rows))
-    try:
-        for j in range(width):  # one conversion pass per column
-            flat[j::width] = map(last if j == width - 1 else float, flat[j::width])
-    except ValueError:
-        return None
-    return flat
-
-
 def write_cloud(cloud: LabeledCloud, path) -> None:
     cloud.validate()
     n = cloud.n_points
@@ -483,25 +460,6 @@ def write_cloud(cloud: LabeledCloud, path) -> None:
     header = f"#pcd v1 n={n} category={cloud.category}\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "%.17g %.17g %.17g %d\n" * n % tuple(row_major))
-
-
-def _bad_point_line(path, body: Sequence[str]) -> ValueError:
-    """The error for the first point line that fails a check; ``body`` holds
-    the point lines, the first of which is line 2 of the file."""
-    for lineno, line in enumerate(body, 2):
-        tokens = line.split()
-        if len(tokens) != 4:
-            return ValueError(f"{path}:{lineno}: expected 'x y z label', got {line!r}")
-        try:
-            coords = [float(t) for t in tokens[:3]]
-            label = int(tokens[3])
-        except ValueError:
-            return ValueError(f"{path}:{lineno}: unparsable numbers")
-        if not all(map(math.isfinite, coords)):
-            return ValueError(f"{path}:{lineno}: non-finite coordinate")
-        if not 0 <= label < N_PART_LABELS:
-            return ValueError(f"{path}:{lineno}: label {label} outside [0, {N_PART_LABELS})")
-    raise AssertionError("every point line passes its checks")
 
 
 def read_cloud(path) -> LabeledCloud:
@@ -520,18 +478,27 @@ def read_cloud(path) -> LabeledCloud:
         raise ValueError(f"{path}:1: cloud must contain at least one point")
     if len(lines) - 1 < n:
         raise ValueError(f"{path}: expected {n} point lines, found {len(lines) - 1}")
-    body = lines[1 : n + 1]
-    flat = _parse_rows(body, 4, last=int)
-    if flat is None:
-        raise _bad_point_line(path, body)
-    labels = flat[3::4]  # Python ints: range-checked before any int64 conversion
-    del flat[3::4]
-    pts = np.array(flat, dtype=np.float64).reshape(n, 3)
-    if not np.isfinite(pts).all() or min(labels) < 0 or max(labels) >= N_PART_LABELS:
-        raise _bad_point_line(path, body)
+    coords, labels = [], []
+    for lineno, line in enumerate(lines[1 : n + 1], 2):
+        tokens = line.split()
+        if len(tokens) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 'x y z label', got {line!r}")
+        try:
+            x, y, z = float(tokens[0]), float(tokens[1]), float(tokens[2])
+            label = int(tokens[3])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: unparsable numbers") from None
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"{path}:{lineno}: non-finite coordinate")
+        # the range check sees the Python int, so no label can overflow int64
+        if not 0 <= label < N_PART_LABELS:
+            raise ValueError(f"{path}:{lineno}: label {label} outside [0, {N_PART_LABELS})")
+        coords += (x, y, z)
+        labels.append(label)
     for extra in range(n + 1, len(lines)):
         if lines[extra].strip():
             raise ValueError(f"{path}:{extra + 1}: trailing content after {n} points")
+    pts = np.array(coords, dtype=np.float64).reshape(n, 3)
     cloud = LabeledCloud(pts, np.array(labels, dtype=np.int64), category, seed=-1)
     try:
         cloud.validate()

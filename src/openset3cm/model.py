@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .data import _not_utf8, _parse_rows
+from .data import _not_utf8
 
 __all__ = [
     "ModelParams",
@@ -270,27 +270,6 @@ def save_params(params: ModelParams, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _bad_tensor_row(
-    path, first_line: int, body: list, name: str, n_rows: int, n_cols: int
-) -> ValueError:
-    """The error for the first row of a tensor block that is missing, holds
-    a non-number or has the wrong width; ``body`` holds the rows present,
-    the first of which is line ``first_line`` of the file."""
-    for r in range(n_rows):
-        at = first_line + r
-        if r >= len(body):
-            return ValueError(f"{path}:{at}: file ends inside tensor {name} ({r} of {n_rows} rows)")
-        try:
-            row = [float(tok) for tok in body[r].split()]
-        except ValueError:
-            return ValueError(f"{path}:{at}: non-numeric value in tensor {name}")
-        if len(row) != n_cols:
-            return ValueError(
-                f"{path}:{at}: tensor {name} row has {len(row)} values, expected {n_cols}"
-            )
-    raise AssertionError("every tensor row passes its checks")
-
-
 def load_params(path) -> ModelParams:
     """Read a checkpoint written by `save_params`.
 
@@ -320,11 +299,23 @@ def load_params(path) -> ModelParams:
             raise ValueError(f"{path}:{i + 1}: expected a tensor block")
         name, shape = head[1], tuple(int(s) for s in head[2:])
         n_rows, n_cols = shape if len(shape) == 2 else (1, shape[0])
-        body = lines[i + 1 : i + 1 + n_rows]
-        flat = _parse_rows(body, n_cols)
-        if flat is None or len(body) < n_rows:
-            raise _bad_tensor_row(path, i + 2, body, name, n_rows, n_cols)
-        tensors[name] = np.array(flat, dtype=np.float64).reshape(shape)
+        rows = []
+        for r in range(n_rows):
+            at = i + 1 + r
+            if at >= len(lines):
+                raise ValueError(
+                    f"{path}:{at + 1}: file ends inside tensor {name} ({r} of {n_rows} rows)"
+                )
+            try:
+                row = [float(tok) for tok in lines[at].split()]
+            except ValueError:
+                raise ValueError(f"{path}:{at + 1}: non-numeric value in tensor {name}") from None
+            if len(row) != n_cols:
+                raise ValueError(
+                    f"{path}:{at + 1}: tensor {name} row has {len(row)} values, expected {n_cols}"
+                )
+            rows.append(row)
+        tensors[name] = np.array(rows).reshape(shape)
         i += 1 + n_rows
     expected = [f"{kind}{j}" for j in range(n_layers) for kind in ("mlp_w", "mlp_b")]
     for name in (*expected, "seg_w", "seg_b", "cls_w", "cls_b"):

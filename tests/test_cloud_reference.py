@@ -1,4 +1,4 @@
-"""The one-pass cloud reader and writer behave like the per-point versions.
+"""The cloud reader and writer behave like the earlier per-point versions.
 
 `reference_read_cloud` and `reference_write_cloud` are the earlier
 implementations, which loop over the points and make one NumPy call per
@@ -154,13 +154,20 @@ class TestReaderMatchesReference:
         check()
 
     @pytest.mark.parametrize(
-        "line",
-        ["inf 0 0 21", "0 nan 0 -1", "a 0 0 21", "0 0 inf 1.5", "0 0 0.5 21 x", "0 0 0.5"],
+        "body",
+        [
+            # one line failing several checks reports the first in the reference's order
+            "inf 0 0 21", "0 nan 0 -1", "a 0 0 21", "0 0 inf 1.5", "0 0 0.5 21 x", "0 0 0.5",
+            # the first failing line wins over a later line failing an earlier check
+            "0 inf 0 0\n0 x 0 0",
+            # spellings Python's float/int accept
+            "0.1_0 \u0660.\u0663 -0 1_0",
+        ],
     )
-    def test_check_order_within_line(self, line, tmp_path):
-        # a line failing several checks reports the first in the reference's order
-        raw = f"#pcd v1 n=2 category=0\n0 0 0.5 0\n{line}\n".encode()
-        assert_reads_like_reference(tmp_path / "order.pcd", raw)
+    def test_check_order(self, body, tmp_path):
+        lines = ["0 0 0.5 0", *body.split("\n")]
+        raw = f"#pcd v1 n={len(lines)} category=0\n" + "".join(f"{line}\n" for line in lines)
+        assert_reads_like_reference(tmp_path / "order.pcd", raw.encode())
 
     def test_overflowing_label(self, tmp_path):
         raw = b"#pcd v1 n=1 category=0\n0.1 0.2 0.3 99999999999999999999\n"
